@@ -271,7 +271,12 @@ def cmd_klein_witness(args) -> int:
 
 def cmd_abelian_sign(args) -> int:
     flag = _parse_flag(args.flag, args.d)
-    print(SIGN_CHARS[flag.form_sign(_parse_vector(args.vector))])
+    vector = _parse_vector(args.vector)
+    if any(isinstance(x, QuadRat) for x in vector):
+        raise UsageError(f"vector entries must be rational, got {args.vector!r}")
+    if not flag.is_total():
+        raise TotalityError(f"{flag.descriptor()} is not total")
+    print(SIGN_CHARS[flag.form_sign(vector)])
     return 0
 
 

@@ -150,6 +150,8 @@ class Group(ABC):
         return self.ball_data(radius).elements
 
     def ball_data(self, radius: int) -> BallData:
+        if radius < 0:
+            raise ValueError("radius must be non-negative")
         if radius not in self._balls:
             elems = sorted(self._ball_elements(radius), key=self.sort_key)
             data = BallData(self, radius, elems)

@@ -17,6 +17,7 @@ trips it, since conjugation by x inverts y.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,17 +33,7 @@ from .core import (
     check_bi_invariance,
     least_positive_in_ball,
 )
-from .lattice import (
-    FormFlag,
-    TotalityError,
-    eigen_orderings,
-    mat_from_rows,
-    mat_identity,
-    mat_inverse,
-    mat_mul,
-    row_times_mat,
-    vlo_equal,
-)
+from .lattice import FormFlag, TotalityError, eigen_orderings, vlo_equal
 from .magnus import free_group
 from .quadfield import QuadRat
 
@@ -195,11 +186,6 @@ class KleinAut:
                                  backward=inv.apply, descriptor=self.descriptor())
 
 
-def klein_aut_apply(phi: KleinAut, g):
-    """Image of a normal-form pair under a family member."""
-    return phi.apply(g)
-
-
 def klein_inner(g) -> KleinAut:
     """Conjugation by y^a x^b as a member of the family."""
     a, b = g
@@ -247,6 +233,9 @@ def klein_action_witness(phi: KleinAut, radius: int = 2):
     return None
 
 
+_PLANE_ZERO = (Fraction(0), Fraction(0))
+
+
 class RationalPlaneGroup(Group):
     """Q^2 as an additive group, exhausted by weighted balls.
 
@@ -261,7 +250,10 @@ class RationalPlaneGroup(Group):
 
     @property
     def identity(self):
-        return (Fraction(0), Fraction(0))
+        return _PLANE_ZERO
+
+    def is_identity(self, g) -> bool:
+        return not g[0] and not g[1]
 
     def multiply(self, g, h):
         return (g[0] + h[0], g[1] + h[1])
@@ -327,10 +319,15 @@ class ZExtensionGroup(Group):
         self.twist_inv = twist_inv
         self.name = name
         self._twist_power = twist_power
+        self._identity = (base.identity, 0)
 
     @property
     def identity(self):
-        return (self.base.identity, 0)
+        return self._identity
+
+    def is_identity(self, g) -> bool:
+        # the Z exponent is a plain int: test it before the base part
+        return g[1] == 0 and self.base.is_identity(g[0])
 
     def twist_apply(self, c: int, b):
         if c == 0:
@@ -386,21 +383,68 @@ HYPERBOLIC_MATRIX = ((1, 2), (1, 1))
 
 @functools.cache
 def _hyperbolic_power(c: int, negated: bool) -> tuple:
-    mat = mat_from_rows(HYPERBOLIC_MATRIX)
-    if negated:
-        mat = tuple(tuple(-x for x in row) for row in mat)
+    """The c-th power of the (negated) hyperbolic matrix, with int entries.
+
+    Both matrices have determinant -1, so every power is unimodular and its
+    inverse is the integer adjugate times the determinant.
+    """
     if c == 0:
-        return mat_identity(2)
+        return ((1, 0), (0, 1))
     if c < 0:
-        return mat_inverse(_hyperbolic_power(-c, negated))
-    return mat_mul(_hyperbolic_power(c - 1, negated), mat)
+        (a, b), (e, f) = _hyperbolic_power(-c, negated)
+        det = a * f - b * e
+        return ((det * f, -det * b), (-det * e, det * a))
+    (a, b), (e, f) = _hyperbolic_power(c - 1, negated)
+    (p, q), (r, s) = HYPERBOLIC_MATRIX
+    if negated:
+        p, q, r, s = -p, -q, -r, -s
+    return ((a * p + b * r, a * q + b * s), (e * p + f * r, e * q + f * s))
+
+
+@functools.lru_cache(maxsize=1024)
+def _g_plane_matrix(t: int, c: int) -> tuple:
+    """B^t A^c, with B = -A: the matrix by which a left factor with K-exponent c
+    and t-exponent t twists the plane part of the right factor in G."""
+    (a, b), (e, f) = _hyperbolic_power(t, True)
+    (p, q), (r, s) = _hyperbolic_power(c, False)
+    return ((a * p + b * r, a * q + b * s), (e * p + f * r, e * q + f * s))
+
+
+def _plane_add_times(u, v, mat) -> tuple:
+    """u + v M on Q^2 for an integer matrix M.  All four coordinates go over
+    one denominator, so each output Fraction is built once."""
+    (a, b), (e, f) = mat
+    (x, y), (z, w) = u, v
+    xn, xd = x.as_integer_ratio()
+    yn, yd = y.as_integer_ratio()
+    zn, zd = z.as_integer_ratio()
+    wn, wd = w.as_integer_ratio()
+    den = math.lcm(xd, yd, zd, wd)
+    if den != 1:
+        xn, yn = xn * (den // xd), yn * (den // yd)
+        zn, wn = zn * (den // zd), wn * (den // wd)
+    return (Fraction(xn + zn * a + wn * e, den), Fraction(yn + zn * b + wn * f, den))
 
 
 def _plane_matrix_power(negated: bool):
     def power(c: int):
         mat = _hyperbolic_power(c, negated)
-        return lambda v: row_times_mat(v, mat)
+        return lambda v: _plane_add_times(_PLANE_ZERO, v, mat)
     return power
+
+
+class _KGroup(ZExtensionGroup):
+    def multiply(self, g, h):
+        # the twist and the plane addition fused into one pass
+        (v1, c1), (v2, c2) = g, h
+        return (_plane_add_times(v1, v2, _hyperbolic_power(c1, False)), c1 + c2)
+
+
+class _GGroup(ZExtensionGroup):
+    def multiply(self, g, h):
+        # both twists act on the plane part only, so they fold into one matrix
+        ((v1, c1), t1), ((v2, c2), t2) = g, h
+        return ((_plane_add_times(v1, v2, _g_plane_matrix(t1, c1)), c1 + c2), t1 + t2)
 
 
 @functools.cache
@@ -408,8 +452,7 @@ def k_group() -> ZExtensionGroup:
     """K = Q^2 x| Z: the Z letter acts on row vectors by the fixed
     hyperbolic matrix."""
     power = _plane_matrix_power(False)
-    return ZExtensionGroup(rational_plane(), power(1), power(-1), "K",
-                           twist_power=power)
+    return _KGroup(rational_plane(), power(1), power(-1), "K", twist_power=power)
 
 
 @functools.cache
@@ -422,7 +465,7 @@ def g_group() -> ZExtensionGroup:
         f = plane_power(m)
         return lambda g: (f(g[0]), g[1])
 
-    return ZExtensionGroup(k_group(), power(1), power(-1), "G", twist_power=power)
+    return _GGroup(k_group(), power(1), power(-1), "G", twist_power=power)
 
 
 @functools.cache
@@ -451,7 +494,7 @@ def k_ordering(u: FormFlag, group: ZExtensionGroup | None = None) -> SignOracle:
         raise TotalityError(f"{u.descriptor()} is not total")
 
     def fn(g):
-        return 0 if g == group.identity else k_ordering_sign(u, g)
+        return 0 if group.is_identity(g) else k_ordering_sign(u, g)
 
     return SignOracle(group=group, fn=fn, descriptor=f"k-lex[{u.descriptor()}]")
 
@@ -498,7 +541,7 @@ def lex_extension(pk: SignOracle, ext: ZExtensionGroup,
             "across the cone", witness=witness)
 
     def fn(g):
-        return 0 if g == ext.identity else lex_extension_sign(pk, g)
+        return 0 if ext.is_identity(g) else lex_extension_sign(pk, g)
 
     return SignOracle(group=ext, fn=fn, descriptor=f"lex[{pk.descriptor}]")
 

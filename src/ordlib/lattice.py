@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -177,6 +178,8 @@ class FormFlag:
             for vec in vectors)
         if not coerced or not coerced[0]:
             raise ValueError("flag needs at least one nonzero vector")
+        if any(len(vec) != len(coerced[0]) for vec in coerced):
+            raise ValueError("flag vectors have different ranks")
         for vec in coerced:
             for x in vec:
                 if x.d != d:
@@ -187,16 +190,43 @@ class FormFlag:
     def rank(self) -> int:
         return len(self.vectors[0])
 
-    def form_sign(self, v) -> int:
-        """Sign of the first nonzero <v, u_i>; 0 only when all vanish."""
+    @functools.cached_property
+    def _integer_rows(self) -> tuple:
+        """Each u_i as integer rows (A_i, B_i) with D_i u_i = A_i + sqrt(d) B_i
+        for some D_i > 0; a positive factor leaves every sign alone."""
+        rows = []
         for u in self.vectors:
-            total = QuadRat.of(0, 0, self.d)
-            for c, x in zip(v, u):
-                if c:
-                    total = total + c * x
-            s = total.sign()
-            if s:
-                return s
+            den = math.lcm(*(x.a.denominator for x in u), *(x.b.denominator for x in u))
+            rows.append((tuple(x.a.numerator * (den // x.a.denominator) for x in u),
+                         tuple(x.b.numerator * (den // x.b.denominator) for x in u)))
+        return tuple(rows)
+
+    def form_sign(self, v) -> int:
+        """Sign of the first nonzero <v, u_i>; 0 only when all vanish.
+
+        v has int or Fraction entries.  Its denominators are cleared first,
+        so each <v, u_i> is an integer pair (A, B) standing for A + B sqrt(d),
+        signed exactly by comparing A^2 with d B^2 when A and B disagree.
+        """
+        if len(v) != self.rank:
+            raise ValueError(f"vector has rank {len(v)}, flag has rank {self.rank}")
+        if all(type(c) is int for c in v):
+            w = v
+        else:
+            den = math.lcm(*(c.denominator for c in v))
+            w = [c.numerator * (den // c.denominator) for c in v]
+        for a_row, b_row in self._integer_rows:
+            a = sum(map(operator.mul, w, a_row))
+            b = sum(map(operator.mul, w, b_row))
+            if b == 0:
+                if a:
+                    return 1 if a > 0 else -1
+            elif a == 0 or (a > 0) == (b > 0):
+                return 1 if b > 0 else -1
+            elif a * a > self.d * b * b:
+                return 1 if a > 0 else -1
+            else:
+                return 1 if b > 0 else -1
         return 0
 
     def is_total(self) -> bool:
@@ -296,12 +326,6 @@ def preserves(rows, flag: FormFlag, group: LatticeGroup | None = None,
         if flag.form_sign(v) != pushed.form_sign(v):
             return False
     return True
-
-
-def sublattice_contains(basis, v) -> bool:
-    """Is v in the sublattice spanned by the rows of the integer basis?"""
-    coords = row_times_mat(v, mat_inverse(basis))
-    return all(x.denominator == 1 for x in coords)
 
 
 def _sublattice_basis(basis, rank: int):

@@ -29,7 +29,9 @@ def _square_free_part(value: int) -> int:
     return part
 
 
+@functools.lru_cache(maxsize=256)
 def _is_square_free(d: int) -> bool:
+    # every QuadRat construction asks, but only a handful of fields occur
     return d >= 2 and _square_free_part(d) == d
 
 

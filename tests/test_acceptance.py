@@ -3,14 +3,18 @@
 Each test runs the corresponding deterministic suite, checks its headline
 facts, and prints a single pass/fail line with the runtime against the
 stated budget.  The final criterion shells out to the installed command
-twice and compares bytes.
+twice and compares the bytes with each other and with the pinned output
+in tests/data/verify_all.txt.
 """
 
+import pathlib
 import subprocess
 import sys
 import time
 
 from ordlib import verify
+
+PINNED_BATTERY = pathlib.Path(__file__).parent / "data" / "verify_all.txt"
 
 
 def _run(name):
@@ -156,7 +160,8 @@ def test_criterion_12_determinism(capsys):
     elapsed = time.perf_counter() - start
     ok = (runs[0].returncode == runs[1].returncode == 0
           and runs[0].stdout == runs[1].stdout
-          and runs[0].stdout.endswith(b"result: pass\n"))
+          and runs[0].stdout.endswith(b"result: pass\n")
+          and runs[0].stdout == PINNED_BATTERY.read_bytes())
     line = f"criterion 12 (determinism): {'pass' if ok else 'FAIL'} [{elapsed:.1f}s]"
     with capsys.disabled():
         print(line)

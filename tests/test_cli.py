@@ -1,5 +1,8 @@
 """End-to-end runs of the command tree against frozen text output."""
 
+import subprocess
+import sys
+
 import pytest
 
 from ordlib.cli import main
@@ -65,6 +68,18 @@ def test_abelian_sign(capsys):
     rc, out = run(capsys, "abelian", "sign", "--flag", "(sqrt2,1)",
                   "--vector", "(1,-1)")
     assert (rc, out) == (0, ["+"])
+
+
+def test_abelian_sign_refuses_what_it_cannot_sign(capsys):
+    rc, out = run(capsys, "abelian", "sign", "--flag", "(1,1)", "--vector", "(1,-1)")
+    assert (rc, out) == (1, ["error: TotalityError: flag[(1,1)] is not total"])
+    rc, out = run(capsys, "abelian", "sign", "--flag", "(1,0);(0,1)",
+                  "--vector", "(1,2,3)")
+    assert (rc, out) == (2, ["usage error: vector has rank 3, flag has rank 2"])
+    rc, out = run(capsys, "abelian", "sign", "--flag", "(1,0);(0,1)",
+                  "--vector", "(√2,1)")
+    assert rc == 2
+    assert out[0].startswith("usage error: vector entries must be rational")
 
 
 def test_abelian_eigen_star_vlo(capsys):
@@ -191,3 +206,15 @@ def test_repeated_runs_print_identical_text(capsys):
     first = run(capsys, "klein", "orderings", "--radius", "2")
     second = run(capsys, "klein", "orderings", "--radius", "2")
     assert first == second
+
+
+@pytest.mark.parametrize("argv", [
+    ("ext", "verify", "--radius", "-1"),
+    ("lospace", "enum", "--group", "z2", "--radius", "-2"),
+])
+def test_negative_radius_is_a_usage_error(argv):
+    proc = subprocess.run([sys.executable, "-m", "ordlib.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert proc.stdout == "usage error: radius must be non-negative\n"

@@ -40,8 +40,17 @@ from ordlib.extensions import (
     k_eigen_flag,
     rational_plane,
     twist_automorphism,
+    ZExtensionGroup,
+    _hyperbolic_power,
 )
-from ordlib.lattice import FormFlag
+from ordlib.lattice import (
+    FormFlag,
+    mat_from_rows,
+    mat_identity,
+    mat_inverse,
+    mat_mul,
+    row_times_mat,
+)
 from ordlib.magnus import free_group, magnus_oracle
 
 KLEIN = klein_group()
@@ -228,3 +237,51 @@ def test_g_is_not_bi_orderable():
         "flag[(-√2,1)]", "flag[(√2,-1)]"]
     assert ev.common == ()
     assert ev.bi_invariance_witness == witness
+
+
+def _fraction_power(c, negated):
+    """The same power through Fraction matrices and Gauss-Jordan inversion."""
+    sign = -1 if negated else 1
+    mat = mat_from_rows([[sign * x for x in row] for row in ((1, 2), (1, 1))])
+    power = mat_identity(2)
+    for _ in range(abs(c)):
+        power = mat_mul(power, mat)
+    return power if c >= 0 else mat_inverse(power)
+
+
+@pytest.mark.parametrize("negated", [False, True])
+def test_hyperbolic_powers_are_integer_and_exact(negated):
+    plane = rational_plane().ball(3)
+    K, G = k_group(), g_group()
+    for c in range(-8, 9):
+        power, reference = _hyperbolic_power(c, negated), _fraction_power(c, negated)
+        assert all(type(x) is int for row in power for x in row)
+        assert power == reference
+        for v in plane:
+            image = row_times_mat(v, reference)
+            if negated:
+                got = G.twist_apply(c, (v, 5))
+                assert got == (image, 5)
+                got = got[0]
+            else:
+                got = K.twist_apply(c, v)
+                assert got == image
+            assert all(type(x) is Fraction for x in got)
+
+
+@pytest.mark.parametrize("group", [k_group, g_group])
+def test_fused_multiply_matches_the_twist_definition(group):
+    ext = group()
+    ball = ext.ball(2)
+    for g, h in itertools.islice(itertools.product(ball, repeat=2), 0, None, 3):
+        assert ext.multiply(g, h) == ZExtensionGroup.multiply(ext, g, h)
+
+
+def test_plane_identity_is_shared_and_exact():
+    plane = rational_plane()
+    assert plane.identity is plane.identity
+    assert plane.identity == (Fraction(0), Fraction(0))
+    assert k_group().identity == (plane.identity, 0)
+    assert g_group().is_identity(g_group().identity)
+    assert not g_group().is_identity(((_kq(0, 0), 0), 1))
+    assert not k_group().is_identity((_kq(0, Fraction(1, 3)), 0))

@@ -189,3 +189,65 @@ def test_comm_acts_trivially():
     assert moved is False and flag.descriptor() == "flag[(1,0);(0,1)]"
     with pytest.raises(ValueError):
         comm_acts_trivially([[1, 1], [1, 1]])
+
+
+def _reference_form_sign(flag, v):
+    """The first nonzero <v, u_i>, summed in QuadRat arithmetic."""
+    for u in flag.vectors:
+        total = QuadRat.of(0, 0, flag.d)
+        for c, x in zip(v, u):
+            total = total + Fraction(c) * x
+        if total.sign():
+            return total.sign()
+    return 0
+
+
+def _differential_flags(d):
+    root = QuadRat.root(d)
+    q = lambda a, b=0: QuadRat.of(a, b, d)
+    rank2 = [
+        [(root, 1)],
+        [(-root, 1)],
+        [(q(Fraction(1, 2), Fraction(-2, 3)), q(Fraction(3, 4)))],
+        [(1, 1), (root, 0)],
+        [(q(0, Fraction(5, 7)), q(-3, 2)), (0, 1)],
+    ]
+    rank3 = [
+        [(root, 1, 0), (0, 0, 1)],
+        [(q(Fraction(1, 2)), q(0, Fraction(-1, 3)), 2), (root, 0, q(Fraction(-1, 5))), (0, 1, 0)],
+        [(q(1, -1), -root, q(3, Fraction(1, 2))), (0, 0, 1)],
+    ]
+    return ([FormFlag.of(f, d) for f in rank2], [FormFlag.of(f, d) for f in rank3])
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_integer_form_sign_matches_quadrat_reference(d):
+    from ordlib.extensions import rational_plane
+    rank2, rank3 = _differential_flags(d)
+    plane = rational_plane().ball(4)
+    for flag in rank2:
+        assert flag.is_total()
+        for v in list(Z2.ball(24)) + plane:
+            assert flag.form_sign(v) == _reference_form_sign(flag, v), (flag, v)
+    for flag in rank3:
+        assert flag.is_total()
+        for v in lattice_group(3).ball(6):
+            assert flag.form_sign(v) == _reference_form_sign(flag, v), (flag, v)
+
+
+def test_non_total_flag_signs_its_kernel_zero():
+    flag = FormFlag.of([(1, 1)])
+    assert not flag.is_total()
+    assert flag.form_sign((1, -1)) == 0
+    assert flag.form_sign((Fraction(-3, 2), Fraction(3, 2))) == 0
+    for v in Z2.ball(24):
+        assert flag.form_sign(v) == _reference_form_sign(flag, v)
+
+
+def test_form_sign_rejects_a_rank_mismatch():
+    with pytest.raises(ValueError):
+        LEX1.form_sign((1, 2, 3))
+    with pytest.raises(ValueError):
+        LEX1.form_sign((1,))
+    with pytest.raises(ValueError):
+        FormFlag.of([(1, 0), (0, 1, 2)])
