@@ -13,6 +13,10 @@ Composing with the index-reversing flip gives the mirror ordering, whose
 least positive element is the first generator, and grafting the plain
 ordering onto the flip ordering's convex chain of prefix parabolic subgroups
 produces one ordering per generator, each with that generator least.
+
+Equality is decided by Dynnikov coordinates: the braid group acts
+faithfully on integer coordinate vectors, and the image of a fixed start
+vector is a canonical key for the braid, computed in O(n + L).
 """
 
 from __future__ import annotations
@@ -22,18 +26,9 @@ import itertools
 from collections import deque
 
 from .core import BudgetExceededError, Group, GroupAutomorphism, SignOracle
+from .magnus import reduce_word, word_sort_key
 
 DEFAULT_BUDGET = 10 ** 6
-
-
-def reduce_free(letters) -> tuple:
-    out = []
-    for a in letters:
-        if out and out[-1] == -a:
-            out.pop()
-        else:
-            out.append(a)
-    return tuple(out)
 
 
 def _reduce_main(word, budget: list) -> list:
@@ -92,7 +87,7 @@ def _reduce_main(word, budget: list) -> list:
 
 def handle_reduce(word, budget: int = DEFAULT_BUDGET) -> tuple:
     """Reduce every handle of the first generator, returning the final word."""
-    return tuple(_reduce_main(reduce_free(word), [budget]))
+    return tuple(_reduce_main(reduce_word(word), [budget]))
 
 
 def sign_cascade(word, budget: int = DEFAULT_BUDGET):
@@ -101,7 +96,7 @@ def sign_cascade(word, budget: int = DEFAULT_BUDGET):
     lowest generator recurses one level up.  The trivial word gives (0, 0).
     """
     box = [budget]
-    w: list | tuple = reduce_free(word)
+    w: list | tuple = reduce_word(word)
     level = 1
     while True:
         w = _reduce_main(w, box)
@@ -122,57 +117,58 @@ def flip_word(n: int, word) -> tuple:
     return tuple((1 if a > 0 else -1) * (n - abs(a)) for a in word)
 
 
-def permutation_of(n: int, word) -> tuple:
-    perm = list(range(n))
-    for a in word:
-        i = abs(a) - 1
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-    return tuple(perm)
+def dynnikov_coordinates(n: int, word) -> tuple:
+    """The Dynnikov coordinates (a1, b1, ..., an, bn) of a braid word.
 
-
-def exponent_sum(word) -> int:
-    return sum(1 if a > 0 else -1 for a in word)
-
-
-def crossing_profile(n: int, word) -> tuple:
-    """Signed crossing counts per strand pair, strands labeled by start.
-
-    Both braid relations preserve the profile, so together with the
-    permutation it separates braids far beyond the exponent sum (which is
-    its total).  Pairs (p, q), p < q, are indexed in lex order.
+    Letters act left to right on the start vector (0, 1, ..., 0, 1); the
+    letter s_i^{+-1} rewrites (a_i, b_i, a_{i+1}, b_{i+1}) alone, by
+    Dynnikov's piecewise-linear formulas.  The action is faithful, so two
+    words give equal coordinates exactly when they are the same braid.
     """
-    arr = list(range(n))
-    counts = [0] * (n * (n - 1) // 2)
-    for a in word:
-        i = abs(a) - 1
-        p, q = arr[i], arr[i + 1]
-        if p > q:
-            p, q = q, p
-        counts[p * (2 * n - p - 1) // 2 + (q - p - 1)] += 1 if a > 0 else -1
-        arr[i], arr[i + 1] = arr[i + 1], arr[i]
-    return tuple(counts)
+    c = [0, 1] * n
+    for x in word:
+        k = 2 * abs(x) - 2
+        a, b, a2, b2 = c[k:k + 4]
+        bp = b if b > 0 else 0
+        bm = b - bp
+        b2p = b2 if b2 > 0 else 0
+        b2m = b2 - b2p
+        if x > 0:
+            t = a - bm - a2 + b2p
+            tp = t if t > 0 else 0
+            u, v = b2p - t, bm + t
+            c[k:k + 4] = (a + bp + (u if u > 0 else 0), b2 - tp,
+                          a2 + b2m + (v if v < 0 else 0), b + tp)
+        else:
+            t = a + bm - a2 - b2p
+            tm = t if t < 0 else 0
+            u, v = b2p + t, bm - t
+            c[k:k + 4] = (a - bp - (u if u > 0 else 0), b2 + tm,
+                          a2 - b2m - (v if v < 0 else 0), b - tm)
+    return tuple(c)
 
 
 class BraidGroup(Group):
-    """The braid group on n strands; elements are reduced words, compared
-    through the sign cascade.  Ball elements carry their least geodesic word.
+    """The braid group on n strands; elements are freely reduced words,
+    keyed by their Dynnikov coordinates.  Ball elements carry their least
+    geodesic word.
     """
 
-    def __init__(self, strands: int, budget: int = DEFAULT_BUDGET):
+    sort_key = staticmethod(word_sort_key)
+
+    def __init__(self, strands: int):
         super().__init__()
         if strands < 2:
             raise ValueError("need at least 2 strands")
         self.strands = strands
-        self.budget = budget
         self.name = f"B{strands}"
-        self._id_key = (tuple(range(strands)), (0,) * (strands * (strands - 1) // 2))
 
     @property
     def identity(self):
         return ()
 
     def multiply(self, g, h):
-        return reduce_free(itertools.chain(g, h))
+        return reduce_word(itertools.chain(g, h))
 
     def invert(self, g):
         return tuple(-a for a in reversed(g))
@@ -182,27 +178,8 @@ class BraidGroup(Group):
             raise ValueError(f"generator index out of range: {index}")
         return (index,)
 
-    def invariant_key(self, g) -> tuple:
-        """(permutation, crossing profile): equal on equal braids, and the
-        pair is a homomorphism image, so unequal keys prove inequality."""
-        return (permutation_of(self.strands, g), crossing_profile(self.strands, g))
-
-    def is_identity(self, g) -> bool:
-        if not g:
-            return True
-        if self.invariant_key(g) != self._id_key:
-            return False
-        return dehornoy_sign(g, self.budget) == 0
-
-    def same(self, g, h) -> bool:
-        if g == h:
-            return True
-        if self.invariant_key(g) != self.invariant_key(h):
-            return False
-        return dehornoy_sign(self.multiply(g, self.invert(h)), self.budget) == 0
-
-    def sort_key(self, g):
-        return (len(g), tuple((abs(a) - 1, 0 if a > 0 else 1) for a in g))
+    def key(self, g) -> tuple:
+        return dynnikov_coordinates(self.strands, g)
 
     def label(self, g):
         if not g:
@@ -221,7 +198,7 @@ class BraidGroup(Group):
     def _ball_elements(self, radius):
         # BFS by length; scanning parents and letters in canonical order
         # makes the first word reaching an element its least geodesic.
-        buckets: dict = {self._id_key: [()]}
+        seen = {self.key(())}
         level = [()]
         yield ()
         for _ in range(radius):
@@ -231,31 +208,13 @@ class BraidGroup(Group):
                     if w and w[-1] == -a:
                         continue
                     c = w + (a,)
-                    known = buckets.setdefault(self.invariant_key(c), [])
-                    if any(self.same(c, v) for v in known):
+                    k = self.key(c)
+                    if k in seen:
                         continue
-                    known.append(c)
+                    seen.add(k)
                     grown.append(c)
                     yield c
             level = grown
-
-    def _augment_ball(self, data):
-        buckets: dict = {}
-        for idx, w in enumerate(data.elements):
-            buckets.setdefault(self.invariant_key(w), []).append(idx)
-        data.buckets = buckets
-
-    def locate(self, data, g):
-        idx = data.pos.get(g)
-        if idx is not None:
-            return idx
-        bucket = data.buckets.get(self.invariant_key(g))
-        if not bucket:
-            return None
-        for idx in bucket:
-            if self.same(g, data.elements[idx]):
-                return idx
-        return None
 
 
 @functools.cache
@@ -340,4 +299,4 @@ def braid_ordering_catalog(group: BraidGroup, budget: int = DEFAULT_BUDGET) -> l
 
 def random_word(rng, strands: int, length: int) -> tuple:
     letters = [a for i in range(1, strands) for a in (i, -i)]
-    return reduce_free(rng.choice(letters) for _ in range(length))
+    return reduce_word(rng.choice(letters) for _ in range(length))

@@ -110,6 +110,14 @@ def _parse_letters(text: str) -> tuple:
         raise UsageError(f"expected signed integer letters, got {text!r}")
 
 
+def _parse_braid_word(text: str, strands: int) -> tuple:
+    word = _parse_letters(text)
+    for a in word:
+        if not 0 < abs(a) < strands:
+            raise UsageError(f"braid letter {a} is not a generator of B{strands}")
+    return word
+
+
 _ROOT_RE = re.compile(r"√2|sqrt2")
 
 
@@ -215,22 +223,22 @@ def _klein_params(text: str) -> KleinOrderingParams:
 def cmd_braid_sign(args) -> int:
     group = braid_group(args.strands)
     oracle = _braid_oracle(group, args.ordering, args.budget)
-    print(SIGN_CHARS[oracle.fn(_parse_letters(args.word))])
+    print(SIGN_CHARS[oracle.fn(_parse_braid_word(args.word, args.strands))])
     return 0
 
 
 def cmd_braid_compare(args) -> int:
     group = braid_group(args.strands)
     oracle = _braid_oracle(group, args.ordering, args.budget)
-    left = _parse_letters(args.left)
-    right = _parse_letters(args.right)
+    left = _parse_braid_word(args.left, args.strands)
+    right = _parse_braid_word(args.right, args.strands)
     sign = oracle.fn(group.multiply(group.invert(left), right))
     print({1: "<", 0: "=", -1: ">"}[sign])
     return 0
 
 
 def cmd_braid_reduce(args) -> int:
-    reduced = handle_reduce(_parse_letters(args.word), args.budget)
+    reduced = handle_reduce(_parse_braid_word(args.word, args.strands), args.budget)
     print(" ".join(map(str, reduced)) if reduced else "e")
     return 0
 

@@ -55,19 +55,24 @@ class RefusedConstructionError(ValueError):
 
 
 class BallData:
-    """A ball with its membership index and a lazily built product table."""
+    """A ball with its membership index and a lazily built product table.
+
+    ``pos`` maps each element's key to its index, so any representative of
+    a ball element is found in one lookup.
+    """
 
     def __init__(self, group: "Group", radius: int, elements: list):
         self.group = group
         self.radius = radius
         self.elements = elements
-        self.pos = {g: i for i, g in enumerate(elements)}
-        self.identity_index = self.pos[group.identity]
+        self.pos = {group.key(g): i for i, g in enumerate(elements)}
+        self.identity_index = self.pos[group.key(group.identity)]
         self._inverse: list[int] | None = None
         self._products: list[list[int]] | None = None
 
     def index_of(self, g) -> Optional[int]:
-        return self.group.locate(self, g)
+        """Index of g in the ball, or None.  g may be any representative."""
+        return self.pos.get(self.group.key(g))
 
     def inverse_index(self) -> list[int]:
         if self._inverse is None:
@@ -87,21 +92,20 @@ class BallData:
         if self._products is None:
             grp = self.group
             elems = self.elements
-            locate = grp.locate
-            mul = grp.multiply
-            table = []
-            for g in elems:
-                row = []
-                for h in elems:
-                    k = locate(self, mul(g, h))
-                    row.append(-1 if k is None else k)
-                table.append(row)
+            pos, key, mul = self.pos, grp.key, grp.multiply
+            table = [[pos.get(key(mul(g, h)), -1) for h in elems] for g in elems]
             self._products = table
         return self._products
 
 
 class Group(ABC):
-    """A concrete group with hashable normal-form elements and graded balls."""
+    """A concrete group with hashable elements and graded balls.
+
+    ``key(g)`` is the element's canonical hashable key: two representatives
+    have equal keys exactly when they are the same group element.  Groups
+    whose elements are normal forms use the element itself; equality,
+    identity tests and ball membership all go through the key.
+    """
 
     name: str = "group"
 
@@ -129,8 +133,11 @@ class Group(ABC):
     def __init__(self):
         self._balls: dict[int, BallData] = {}
 
+    def key(self, g):
+        return g
+
     def same(self, g, h) -> bool:
-        return g == h
+        return g == h or self.key(g) == self.key(h)
 
     def is_identity(self, g) -> bool:
         return self.same(g, self.identity)
@@ -154,17 +161,8 @@ class Group(ABC):
             raise ValueError("radius must be non-negative")
         if radius not in self._balls:
             elems = sorted(self._ball_elements(radius), key=self.sort_key)
-            data = BallData(self, radius, elems)
-            self._augment_ball(data)
-            self._balls[radius] = data
+            self._balls[radius] = BallData(self, radius, elems)
         return self._balls[radius]
-
-    def _augment_ball(self, data: BallData) -> None:
-        """Hook for subclasses that need extra membership structure."""
-
-    def locate(self, data: BallData, g) -> Optional[int]:
-        """Index of g in the ball, or None.  g may be any representative."""
-        return data.pos.get(g)
 
 
 @dataclass(frozen=True)
@@ -383,20 +381,26 @@ def check_convex_in_ball(member: Callable, oracle: SignOracle, group: Group, rad
     return (ball[g_idx], ball[f_idx], ball[h_idx])
 
 
+def common_power(group: Group, x, y, bound: int) -> Optional[tuple[int, int]]:
+    """The least (n, m) in [1, bound]^2, n first, with x^n = y^m, or None."""
+    exponent = {}
+    p = y
+    for m in range(1, bound + 1):
+        exponent.setdefault(group.key(p), m)
+        p = group.multiply(p, y)
+    p = x
+    for n in range(1, bound + 1):
+        m = exponent.get(group.key(p))
+        if m is not None:
+            return (n, m)
+        p = group.multiply(p, x)
+    return None
+
+
 def power_equates(phi: GroupAutomorphism, group: Group, g, bound: int,
                   negative: bool = False) -> Optional[tuple[int, int]]:
     """Search n, m in [1, bound] with phi(g)^n = g^m (or g^-m if negative)."""
-    image = phi.forward(g)
-    img_pow = image
-    for n in range(1, bound + 1):
-        base = group.invert(g) if negative else g
-        gp = base
-        for m in range(1, bound + 1):
-            if group.same(img_pow, gp):
-                return (n, m)
-            gp = group.multiply(gp, base)
-        img_pow = group.multiply(img_pow, image)
-    return None
+    return common_power(group, phi.forward(g), group.invert(g) if negative else g, bound)
 
 
 def distinguishing_witness(phi: GroupAutomorphism, catalog: list[SignOracle],

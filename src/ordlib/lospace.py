@@ -29,6 +29,7 @@ from .core import (
     IdentitySignError,
     SignOracle,
     SizeLimitError,
+    common_power,
     separating_element,
 )
 from .lattice import LatticeGroup
@@ -67,11 +68,12 @@ class PartialCone:
     signs: tuple
 
     @functools.cached_property
-    def _by_element(self) -> dict:
-        return dict(self.signs)
+    def _by_key(self) -> dict:
+        key = self.group.key
+        return {key(g): s for g, s in self.signs}
 
     def sign(self, g) -> int:
-        s = self._by_element.get(g)
+        s = self._by_key.get(self.group.key(g))
         if s is None:
             if self.group.is_identity(g):
                 raise IdentitySignError("the identity has no sign")
@@ -246,7 +248,7 @@ def extend_partial_cone(cone: PartialCone, group: Group, radius2: int,
     data = group.ball_data(radius2)
     preset = []
     for g, s in cone.signs:
-        idx = group.locate(data, g)
+        idx = data.index_of(g)
         if idx is None:
             raise ValueError(
                 f"cone element {group.label(g)} is missing from ball({radius2})")
@@ -271,17 +273,9 @@ def isolator_member(group: Group, h, g, bound: int = 8):
         n = group.rank
         return all(h[i] * g[j] == h[j] * g[i]
                    for i in range(n) for j in range(i + 1, n))
-    g_powers = []
-    p = g
-    for _ in range(bound):
-        g_powers.append(p)
-        p = group.multiply(p, g)
-    hk = h
-    for _ in range(bound):
-        if any(group.same(hk, q) or group.same(group.invert(hk), q)
-               for q in g_powers):
-            return True
-        hk = group.multiply(hk, h)
+    if (common_power(group, h, g, bound) is not None
+            or common_power(group, h, group.invert(g), bound) is not None):
+        return True
     return NOT_FOUND
 
 
@@ -316,19 +310,6 @@ def condition_star_check(phi, group: Group, radius: int, bound: int = 8):
     for g in group.ball(radius):
         if group.is_identity(g):
             continue
-        image = fwd(g)
-        g_powers = []
-        p = g
-        for _ in range(bound):
-            g_powers.append(p)
-            p = group.multiply(p, g)
-        ok = False
-        q = image
-        for _ in range(bound):
-            if any(group.same(q, gp) for gp in g_powers):
-                ok = True
-                break
-            q = group.multiply(q, image)
-        if not ok:
+        if common_power(group, fwd(g), g, bound) is None:
             return g
     return None

@@ -41,6 +41,11 @@ def reduce_word(letters) -> tuple:
     return tuple(out)
 
 
+def word_sort_key(g) -> tuple:
+    """(length, letters): lower indices first, a letter before its inverse."""
+    return (len(g), tuple((abs(a) - 1, 0 if a > 0 else 1) for a in g))
+
+
 class FreeGroup(Group):
     """A finite-rank free group; elements are reduced signed-index tuples."""
 
@@ -71,8 +76,7 @@ class FreeGroup(Group):
             raise ValueError(f"generator index out of range: {index}")
         return (index,)
 
-    def sort_key(self, g):
-        return (len(g), tuple((abs(a) - 1, 0 if a > 0 else 1) for a in g))
+    sort_key = staticmethod(word_sort_key)
 
     def label(self, g):
         if not g:

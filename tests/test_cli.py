@@ -185,6 +185,11 @@ def test_verify_single_suite(capsys):
     ("lospace", "star", "--group", "z2", "--matrix", "[[1,0],[0,1]]",
      "--probe", "swap"),
     ("free", "sign", "--word", "q"),
+    ("braid", "sign", "--strands", "3", "--word", "0"),
+    ("braid", "sign", "--strands", "3", "--word", "5"),
+    ("braid", "sign", "--strands", "3", "--word", "1 -3"),
+    ("braid", "compare", "--strands", "3", "--left", "1", "--right", "0"),
+    ("braid", "reduce", "--strands", "3", "--word", "0,0"),
 ])
 def test_usage_errors_exit_two(capsys, argv):
     rc, out = run(capsys, *argv)

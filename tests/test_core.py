@@ -2,6 +2,7 @@
 
 import pytest
 
+from ordlib.braid import braid_group
 from ordlib.core import (
     EQ,
     GT,
@@ -134,6 +135,11 @@ def test_power_equates():
     neg = matrix_automorphism(Z2, [[-1, 0], [0, -1]])
     assert power_equates(neg, Z2, (1, 0), 8, negative=True) == (1, 1)
     assert power_equates(neg, Z2, (1, 0), 8) is None
+    # conjugation by the full twist fixes s1, but spells the image differently
+    b3 = braid_group(3)
+    twist = inner_automorphism(b3, (1, 2) * 3)
+    assert twist.forward((1,)) != (1,)
+    assert power_equates(twist, b3, (1,), 8) == (1, 1)
 
 
 def test_distinguishing_witness():

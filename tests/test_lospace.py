@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+from ordlib.braid import braid_group, dehornoy_oracle
 from ordlib.core import IdentitySignError, SizeLimitError
 from ordlib.extensions import KleinAut, klein_group, klein_orderings
 from ordlib.lattice import lattice_group
@@ -92,6 +93,12 @@ def test_partial_cone_accessors():
         cone.restricted(5)
     with pytest.raises(ValueError):
         extend_partial_cone(cone, KLEIN, 3)
+
+
+def test_partial_cone_signs_any_spelling():
+    b3 = braid_group(3)
+    cone = PartialCone.from_oracle(dehornoy_oracle(b3), b3, 3)
+    assert cone.sign((2, 1, 2)) == cone.sign((1, 2, 1)) == 1
 
 
 def test_node_limit_and_ball_cap(monkeypatch):
