@@ -77,6 +77,12 @@ def _artin_trivial(n, braid_word) -> bool:
     return all(w == (j,) for j, w in _artin_images(n, braid_word).items())
 
 
+def test_reduce_free():
+    assert reduce_word([1, -1]) == ()
+    assert reduce_word([2, 1, -1, -2, 3]) == (3,)
+    assert B3.multiply((1, 2), (-2, -1)) == ()
+
+
 def test_artin_referee_sanity():
     assert _artin_trivial(4, ())
     assert _artin_trivial(4, (2, -2))

@@ -41,7 +41,6 @@ DEEP = F2.multiply(F2.multiply(COMM, (2,)), F2.multiply(F2.invert(COMM), (-2,)))
 def test_reduce_word():
     assert reduce_word([1, -1]) == ()
     assert reduce_word([1, 2, -2, -1, 1]) == (1,)
-    assert reduce_word([2, 1, -1, -2, 3]) == (3,)
     assert reduce_word([1, 2, 1]) == (1, 2, 1)
 
 
