@@ -60,6 +60,7 @@ from .lattice import (
     ALL_ORDERINGS,
     FormFlag,
     TotalityError,
+    WITNESS_RADIUS,
     is_scalar_star,
     lattice_group,
     mat_from_rows,
@@ -118,10 +119,10 @@ def _parse_braid_word(text: str, strands: int) -> tuple:
     return word
 
 
-_ROOT_RE = re.compile(r"√2|sqrt2")
+_ROOT_RE = re.compile(r"(?:√|sqrt)(\d+)")
 
 
-def _parse_entry(text: str):
+def _parse_entry(text: str, d: int):
     text = text.strip()
     m = _ROOT_RE.search(text)
     if m is None:
@@ -131,6 +132,8 @@ def _parse_entry(text: str):
             raise UsageError(f"bad vector entry {text!r}")
     if text[m.end():]:
         raise UsageError(f"bad vector entry {text!r}")
+    if int(m.group(1)) != d:
+        raise UsageError(f"entry {text!r} is not in Q(√{d}); pass --d {m.group(1)}")
     head = text[: m.start()]
     split = max(head.rfind("+", 1), head.rfind("-", 1))
     rational, coeff = (head[:split], head[split:]) if split > 0 else ("", head)
@@ -147,21 +150,21 @@ def _parse_entry(text: str):
         a = Fraction(rational) if rational else Fraction(0)
     except ValueError:
         raise UsageError(f"bad vector entry {text!r}")
-    return QuadRat(a, b, 2)
+    return QuadRat(a, b, d)
 
 
-def _parse_vector(text: str) -> tuple:
+def _parse_vector(text: str, d: int) -> tuple:
     text = text.strip()
     if text.startswith("(") and text.endswith(")"):
         text = text[1:-1]
     entries = [e for e in text.split(",") if e.strip()]
     if not entries:
         raise UsageError(f"empty vector {text!r}")
-    return tuple(_parse_entry(e) for e in entries)
+    return tuple(_parse_entry(e, d) for e in entries)
 
 
 def _parse_flag(text: str, d: int = 2) -> FormFlag:
-    vectors = [_parse_vector(part) for part in text.split(";") if part.strip()]
+    vectors = [_parse_vector(part, d) for part in text.split(";") if part.strip()]
     if not vectors:
         raise UsageError(f"empty flag {text!r}")
     return FormFlag.of(vectors, d)
@@ -279,7 +282,7 @@ def cmd_klein_witness(args) -> int:
 
 def cmd_abelian_sign(args) -> int:
     flag = _parse_flag(args.flag, args.d)
-    vector = _parse_vector(args.vector)
+    vector = _parse_vector(args.vector, args.d)
     if any(isinstance(x, QuadRat) for x in vector):
         raise UsageError(f"vector entries must be rational, got {args.vector!r}")
     if not flag.is_total():
@@ -321,8 +324,13 @@ def cmd_abelian_vlo(args) -> int:
     f2 = _parse_flag(args.second, args.d)
     basis1 = _parse_matrix(args.basis1) if args.basis1 else None
     basis2 = _parse_matrix(args.basis2) if args.basis2 else None
-    equal, witness = vlo_equal(f1, f2, basis1, basis2, args.radius)
-    print("equal" if equal else f"differ, witness {_vec_str(witness)}")
+    equal, witness = vlo_equal(f1, f2, basis1, basis2)
+    if equal:
+        print("equal")
+    elif witness is None:
+        print(f"differ, no witness in ball({WITNESS_RADIUS})")
+    else:
+        print(f"differ, witness {_vec_str(witness)}")
     return 0
 
 
@@ -560,7 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--second", required=True)
     p.add_argument("--basis1")
     p.add_argument("--basis2")
-    p.add_argument("--radius", type=int, default=24)
     p.add_argument("--d", type=int, default=2)
     p.set_defaults(func=cmd_abelian_vlo)
 

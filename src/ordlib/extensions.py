@@ -523,18 +523,21 @@ def lex_extension_sign(pk: SignOracle, g) -> int:
     raise IdentitySignError("the identity has no sign")
 
 
-def lex_extension(pk: SignOracle, ext: ZExtensionGroup,
-                  r_check: int = 6) -> SignOracle:
+TWIST_CHECK_RADIUS = 6
+
+
+def lex_extension(pk: SignOracle, ext: ZExtensionGroup) -> SignOracle:
     """Order base x| Z with the base dominant.
 
     Left-invariance needs conjugation by the Z letter to fix the base
-    cone; that is checked on ball(r_check) of the base and the
-    construction is refused, with the moved element as witness, when it
-    fails.  The Z letter comes out as the least positive element.
+    cone.  That is checked on ball(TWIST_CHECK_RADIUS) of the base, a
+    bounded check, and the construction is refused, with the moved element
+    as witness, when it fails.  The Z letter comes out as the least
+    positive element.
     """
     if ext.base is not pk.group:
         raise ValueError("the ordering and the extension have different bases")
-    witness = conjugation_preserves(pk, twist_automorphism(ext), r_check)
+    witness = conjugation_preserves(pk, twist_automorphism(ext), TWIST_CHECK_RADIUS)
     if witness is not None:
         raise RefusedConstructionError(
             f"conjugation by the Z letter moves {ext.base.label(witness)} "
@@ -547,10 +550,10 @@ def lex_extension(pk: SignOracle, ext: ZExtensionGroup,
 
 
 @functools.cache
-def g_ordering(r_check: int = 6) -> SignOracle:
+def g_ordering() -> SignOracle:
     """The lexicographic ordering of G over the eigenvector flag; t is its
     least positive element."""
-    return lex_extension(k_ordering(k_eigen_flag()), g_group(), r_check)
+    return lex_extension(k_ordering(k_eigen_flag()), g_group())
 
 
 def klein_as_extension() -> ZExtensionGroup:

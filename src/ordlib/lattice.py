@@ -11,6 +11,12 @@ ordering forward so that the new sign of v is the old sign of v M^-1; on
 flags that means replacing each u by M^-1 u (column convention).  In
 particular M preserves the ordering of a one-vector flag u exactly when u is
 an eigenvector of M with positive eigenvalue.
+
+Equality of flag orderings is decided exactly by `FormFlag.canonical`, a
+normal form built from the chain of convex subgroups (Robbiano, Sikora), so
+`preserves`, `vlo_equal` and `comm_acts_trivially` give exact verdicts.
+Only the search for a vector witnessing a difference is bounded, to
+ball(WITNESS_RADIUS).
 """
 
 from __future__ import annotations
@@ -104,64 +110,55 @@ def mat_times_col(m, u) -> tuple:
     return tuple(sum(m[i][j] * u[j] for j in range(n)) for i in range(n))
 
 
+def row_reduce(rows) -> tuple[tuple, tuple, Fraction]:
+    """Gauss-Jordan elimination of rational rows.
+
+    Returns the nonzero rows of the reduced row echelon form, their pivot
+    columns, and the product of the pivots signed by the row swaps.  For a
+    square matrix of full rank that product is the determinant.
+    """
+    work = [list(map(Fraction, row)) for row in rows]
+    width = len(work[0]) if work else 0
+    pivots = []
+    factor = Fraction(1)
+    for col in range(width):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(work)) if work[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            work[r], work[pivot] = work[pivot], work[r]
+            factor = -factor
+        lead = work[r][col]
+        factor *= lead
+        work[r] = [x / lead for x in work[r]]
+        for i, row in enumerate(work):
+            if i != r and row[col]:
+                c = row[col]
+                work[i] = [x - c * y for x, y in zip(row, work[r])]
+        pivots.append(col)
+        if len(pivots) == len(work):
+            break
+    return tuple(map(tuple, work[:len(pivots)])), tuple(pivots), factor
+
+
 def mat_inverse(m) -> tuple:
     n = len(m)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    rref, pivots, _ = row_reduce(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)])
+    if pivots[:n] != tuple(range(n)):
+        raise ValueError("matrix is singular")
+    return tuple(row[n:] for row in rref)
 
 
 def mat_det(m) -> Fraction:
-    n = len(m)
-    rows = [list(row) for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        for r in range(col + 1, n):
-            if rows[r][col]:
-                factor = rows[r][col] / rows[col][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return det
+    _, pivots, factor = row_reduce(m)
+    return factor if len(pivots) == len(m) else Fraction(0)
 
 
 def rational_rank(rows) -> int:
     """Row rank of a list of rational row vectors."""
-    work = [list(map(Fraction, row)) for row in rows]
-    if not work:
-        return 0
-    width = len(work[0])
-    rank = 0
-    for col in range(width):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        lead = work[rank][col]
-        for r in range(rank + 1, len(work)):
-            if work[r][col]:
-                factor = work[r][col] / lead
-                work[r] = [x - factor * y for x, y in zip(work[r], work[rank])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+    return len(row_reduce(rows)[1])
 
 
 @dataclass(frozen=True)
@@ -242,6 +239,35 @@ class FormFlag:
             rows.append([x.b for x in u])
         return rational_rank(rows) == self.rank
 
+    @functools.cached_property
+    def canonical(self) -> tuple:
+        """A normal form of the sign map: two flags over the same field
+        define the same sign map exactly when their forms are equal.
+
+        Step i signs only the vectors of W_i, where every earlier u_j
+        vanishes: the common kernel of their rational and sqrt-d parts (the
+        convex subgroups of the ordering).  On W_i, u_i counts only modulo
+        the span of those parts, and reducing it on the pivot columns of
+        their RREF leaves a unique residue.  Vanishing residues sign nothing
+        and drop out; the others are scaled so that their first nonzero entry
+        is +-1, which removes the positive field factor.
+        """
+        form = []
+        parts = []
+        for u in self.vectors:
+            rref, pivots, _ = row_reduce(parts)
+            residue = u
+            for row, col in zip(rref, pivots):
+                c = u[col]
+                residue = tuple(x - c * y for x, y in zip(residue, row))
+            lead = next((x for x in residue if x.sign()), None)
+            if lead is not None:
+                scale = lead if lead.sign() > 0 else -lead
+                form.append(tuple(x / scale for x in residue))
+            parts.append([x.a for x in u])
+            parts.append([x.b for x in u])
+        return tuple(form)
+
     def negated(self) -> "FormFlag":
         return FormFlag(tuple(tuple(-x for x in u) for u in self.vectors), self.d)
 
@@ -291,41 +317,9 @@ def matrix_pushforward(rows, flag: FormFlag) -> FormFlag:
     return FormFlag(tuple(mat_times_col(minv, u) for u in flag.vectors), flag.d)
 
 
-def positive_multiple(u, w) -> bool:
-    """True iff w = c u for some positive scalar c in the field."""
-    c = None
-    for x, y in zip(u, w):
-        xs, ys = x.sign(), y.sign()
-        if (xs == 0) != (ys == 0):
-            return False
-        if xs == 0:
-            continue
-        ratio = y / x
-        if c is None:
-            c = ratio
-        elif ratio != c:
-            return False
-    return c is not None and c.sign() > 0
-
-
-def preserves(rows, flag: FormFlag, group: LatticeGroup | None = None,
-              r_check: int = 24) -> bool:
-    """Does v -> v M carry the flag ordering to itself?
-
-    Exact fast path: if every pushed vector is a positive multiple of its
-    original, the orderings agree everywhere.  Otherwise the two sign maps
-    are compared on ball(r_check); a disagreement there settles the question,
-    and agreement is reported as preservation at that resolution.
-    """
-    pushed = matrix_pushforward(rows, flag)
-    if all(positive_multiple(u, w) for u, w in zip(flag.vectors, pushed.vectors)):
-        return True
-    if group is None:
-        group = lattice_group(flag.rank)
-    for v in group.ball(r_check):
-        if flag.form_sign(v) != pushed.form_sign(v):
-            return False
-    return True
+def preserves(rows, flag: FormFlag) -> bool:
+    """Exact: does v -> v M carry the flag ordering to itself?"""
+    return matrix_pushforward(rows, flag).canonical == flag.canonical
 
 
 def _sublattice_basis(basis, rank: int):
@@ -341,39 +335,36 @@ def _sublattice_basis(basis, rank: int):
     return b
 
 
-def vlo_equal(f1: FormFlag, f2: FormFlag, basis1=None, basis2=None,
-              r_check: int = 24) -> tuple[bool, tuple | None]:
+WITNESS_RADIUS = 24
+
+
+def vlo_equal(f1: FormFlag, f2: FormFlag, basis1=None,
+              basis2=None) -> tuple[bool, tuple | None]:
     """Do two flag orderings, carried by finite-index sublattices, agree
     as germs on the common sublattice?
 
     Each basis is an integer row matrix spanning the carrying sublattice;
-    None means the full lattice.  Positively proportional flags are equal
-    outright.  Otherwise signs are compared on every vector of the
-    intersection inside ball(r_check), and the first disagreement is
-    returned as witness.
+    None means the full lattice.  Flag signs are homogeneous, so agreeing
+    on a finite-index sublattice is agreeing everywhere, and the verdict is
+    exact: the canonical forms are compared.  The witness search is
+    bounded: on a difference, the first disagreement in the intersection
+    inside ball(WITNESS_RADIUS) is returned, or None when that ball has
+    none.
     """
     if f1.rank != f2.rank:
         raise ValueError("flags have different ranks")
-    b1 = _sublattice_basis(basis1, f1.rank)
-    b2 = _sublattice_basis(basis2, f1.rank)
-    if len(f1.vectors) == len(f2.vectors):
-        if all(positive_multiple(u, w) for u, w in zip(f1.vectors, f2.vectors)):
-            return (True, None)
-    inv1 = mat_inverse(b1) if b1 is not None else None
-    inv2 = mat_inverse(b2) if b2 is not None else None
-    group = lattice_group(f1.rank)
-    for v in group.ball(r_check):
-        if not any(v):
-            continue
-        if inv1 is not None and not all(
-                x.denominator == 1 for x in row_times_mat(v, inv1)):
-            continue
-        if inv2 is not None and not all(
-                x.denominator == 1 for x in row_times_mat(v, inv2)):
-            continue
-        if f1.form_sign(v) != f2.form_sign(v):
+    if f1.d != f2.d:
+        raise UnsupportedFieldError(f"flags live in Q(sqrt {f1.d}) and Q(sqrt {f2.d})")
+    inverses = [mat_inverse(b) for b in (_sublattice_basis(basis1, f1.rank),
+                                         _sublattice_basis(basis2, f1.rank))
+                if b is not None]
+    if f1.canonical == f2.canonical:
+        return (True, None)
+    for v in lattice_group(f1.rank).ball(WITNESS_RADIUS):
+        if any(v) and f1.form_sign(v) != f2.form_sign(v) and all(
+                x.denominator == 1 for inv in inverses for x in row_times_mat(v, inv)):
             return (False, v)
-    return (True, None)
+    return (False, None)
 
 
 ALL_ORDERINGS = "all"
@@ -450,38 +441,20 @@ def is_scalar_star(rows) -> tuple[Fraction | None, tuple | None]:
 
     Positive scalars are exactly the matrices whose action v -> v M keeps
     every element on its own ray with a positive factor, the lattice form
-    of the power-agreement property.  The probe set e_1, ..., e_n followed
-    by the all-ones vector is decisive: fixing each axis ray forces a
-    positive diagonal, and fixing the all-ones ray forces equal entries.
-    The witness is the first probe carried off its ray.
+    of the power-agreement property.  The probes e_1, ..., e_n and then the
+    all-ones vector decide it: e_j stays on its ray exactly when row j of M
+    is c e_j with c > 0, and the all-ones vector then stays on its ray
+    exactly when those c agree.  The witness is the first probe carried off
+    its ray.
     """
     m = mat_from_rows(rows)
     n = len(m)
-    probes = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    probes.append((1,) * n)
-    ratio = None
-    for u in probes:
-        w = row_times_mat(u, m)
-        ratio = _rational_positive_multiple(u, w)
-        if ratio is None:
-            return (None, u)
-    return (ratio, None)
-
-
-def _rational_positive_multiple(u, w) -> Fraction | None:
-    """The positive scalar c with w = c u, if one exists."""
-    c = None
-    for x, y in zip(u, w):
-        if (x == 0) != (y == 0):
-            return None
-        if x == 0:
-            continue
-        ratio = Fraction(y) / Fraction(x)
-        if c is None:
-            c = ratio
-        elif ratio != c:
-            return None
-    return c if c is not None and c > 0 else None
+    for j, row in enumerate(m):
+        if row[j] <= 0 or any(x for i, x in enumerate(row) if i != j):
+            return (None, tuple(int(i == j) for i in range(n)))
+    if len({m[j][j] for j in range(n)}) > 1:
+        return (None, (1,) * n)
+    return (m[0][0], None)
 
 
 def probe_flags(n: int, d: int = 2) -> list[FormFlag]:
@@ -497,32 +470,24 @@ def probe_flags(n: int, d: int = 2) -> list[FormFlag]:
     return flags
 
 
-def comm_acts_trivially(rows, d: int = 2, r_check: int = 24) -> tuple[bool, FormFlag | None]:
+def comm_acts_trivially(rows, d: int = 2) -> tuple[bool, FormFlag | None]:
     """Does the commensuration v -> v M act trivially on every vector
     lex ordering of every finite-index sublattice?
 
     True exactly for positive scalar matrices: those restrict to
     multiplication by p/q between finite-index sublattices and keep every
-    sign map where it is.  Otherwise some probe flag is carried to an
-    ordering that disagrees with it on the common domain, and the first
-    moved probe is returned as witness.
+    sign map where it is.  Flag signs are homogeneous, so acting trivially
+    on a sublattice ordering is preserving the flag, which is decided
+    exactly.  The first moved probe flag is returned as witness.
     """
-    m = mat_from_rows(rows)
-    n = len(m)
-    if mat_det(m) == 0:
-        raise ValueError("commensuration matrix must be invertible")
-    ratio, _ = is_scalar_star(m)
-    if ratio is not None:
-        return (True, None)
-    k = math.lcm(*(x.denominator for row in m for x in row))
-    basis1 = tuple(tuple(k * int(i == j) for i in range(n)) for j in range(n))
-    basis2 = tuple(tuple(int(k * x) for x in row) for row in m)
+    n = len(rows)
     probes = probe_flags(n, d)
     probes.append(FormFlag.of([(1,) * n] + [tuple(int(i == j) for i in range(n))
                                             for j in range(n)], d))
+    # Lex and reverse lex are both preserved only by a positive diagonal,
+    # and the all-ones flag then only by equal entries: a non-scalar always
+    # moves some probe.
     for flag in probes:
-        pushed = matrix_pushforward(m, flag)
-        equal, _ = vlo_equal(flag, pushed, basis1, basis2, r_check)
-        if not equal:
+        if not preserves(rows, flag):
             return (False, flag)
-    raise RuntimeError(f"no probe flag moved within ball({r_check})")
+    return (True, None)

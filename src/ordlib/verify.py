@@ -329,7 +329,7 @@ def suite_scalar_kernel():
     for p, q in SCALAR_GRID:
         c = Fraction(p, q)
         m = ((c, 0), (0, c))
-        fixed = all(_flag_fixed(m, flag, z2, 8) for flag in flags)
+        fixed = all(preserves(m, flag) for flag in flags)
         star = condition_star_check(
             lambda v, c=c: tuple(c * x for x in v), z2, 4, bound=4)
         ok = fixed and star is None
@@ -348,12 +348,6 @@ def suite_scalar_kernel():
         facts[f"nonscalar{_mat_key(rows)}"] = f"moved {moved}, star-fails@{witness}"
         passed = passed and ok
     return passed, facts
-
-
-def _flag_fixed(rows, flag, group, radius) -> bool:
-    pushed = matrix_pushforward(rows, flag)
-    return all(flag.form_sign(v) == pushed.form_sign(v)
-               for v in group.ball(radius) if v != group.identity)
 
 
 def suite_free_probes():

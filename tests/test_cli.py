@@ -68,6 +68,21 @@ def test_abelian_sign(capsys):
     rc, out = run(capsys, "abelian", "sign", "--flag", "(sqrt2,1)",
                   "--vector", "(1,-1)")
     assert (rc, out) == (0, ["+"])
+    rc, out = run(capsys, "abelian", "sign", "--flag", "(√3,1)",
+                  "--vector", "(1,-2)", "--d", "3")
+    assert (rc, out) == (0, ["-"])
+
+
+def test_abelian_eigen_output_reads_back_in(capsys):
+    rc, out = run(capsys, "abelian", "eigen", "--matrix", "[[0,1],[1,1]]", "--d", "5")
+    assert (rc, out) == (0, ["±(-1/2+1/2√5,1), eigenvalue 1/2+1/2√5"])
+    flag = out[0][1:out[0].index(")") + 1]
+    rc, out = run(capsys, "abelian", "sign", "--flag", flag, "--vector", "(1,-1)",
+                  "--d", "5")
+    assert (rc, out) == (0, ["-"])
+    rc, out = run(capsys, "abelian", "sign", "--flag", flag, "--vector", "(-1,2)",
+                  "--d", "5")
+    assert (rc, out) == (0, ["+"])
 
 
 def test_abelian_sign_refuses_what_it_cannot_sign(capsys):
@@ -99,6 +114,19 @@ def test_abelian_eigen_star_vlo(capsys):
     rc, out = run(capsys, "abelian", "vlo", "--first", "(1,0);(0,1)",
                   "--second", "(-1,0);(0,-1)")
     assert (rc, out) == (0, ["differ, witness (1,0)"])
+    rc, out = run(capsys, "abelian", "vlo", "--first", "(1,0)", "--second", "(0,1)")
+    assert (rc, out) == (0, ["differ, witness (1,0)"])
+    rc, out = run(capsys, "abelian", "vlo", "--first", "(1,0);(0,1)",
+                  "--second", "(1,1/1000);(0,1)")
+    assert (rc, out) == (0, ["differ, no witness in ball(24)"])
+
+
+def test_abelian_vlo_has_no_radius(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["abelian", "vlo", "--first", "(1,0)", "--second", "(0,1)",
+              "--radius", "0"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --radius 0" in capsys.readouterr().err
 
 
 def test_free_commands(capsys):
@@ -190,6 +218,8 @@ def test_verify_single_suite(capsys):
     ("braid", "sign", "--strands", "3", "--word", "1 -3"),
     ("braid", "compare", "--strands", "3", "--left", "1", "--right", "0"),
     ("braid", "reduce", "--strands", "3", "--word", "0,0"),
+    ("abelian", "sign", "--flag", "(√3,1)", "--vector", "(1,-2)"),
+    ("abelian", "vlo", "--first", "(sqrt5,1)", "--second", "(1,0)", "--d", "3"),
 ])
 def test_usage_errors_exit_two(capsys, argv):
     rc, out = run(capsys, *argv)

@@ -1,5 +1,6 @@
 """Flag orderings of Z^n and the matrix action on them."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,7 @@ def test_mixed_field_entries_rejected():
 def test_matrix_helpers():
     m = mat_from_rows(A)
     assert mat_det(m) == -1
+    assert mat_det(mat_from_rows([[0, 2], [3, 0]])) == -6
     assert mat_mul(m, mat_inverse(m)) == mat_from_rows([[1, 0], [0, 1]])
     with pytest.raises(ValueError):
         mat_inverse(mat_from_rows([[1, 2], [2, 4]]))
@@ -169,6 +171,25 @@ def test_vlo_equal_on_sublattices():
         vlo_equal(LEX1, LEX1, basis1=[[Fraction(1, 2), 0], [0, 1]])
 
 
+def test_canonical_form():
+    assert FormFlag.of([(3, 0), (5, 7)]).canonical == LEX1.canonical
+    assert FormFlag.of([(1, 0), (1, 0), (2, 1)]).canonical == LEX1.canonical
+    assert FormFlag.of([(1, 0), (0, 1), (1, 1)]).canonical == LEX1.canonical
+    assert FormFlag.of([(2 * R2 + 2, 2 + R2)]).canonical == PLUS.canonical
+    assert FormFlag.of([(-R2 - 2, -R2)]).canonical != PLUS.canonical
+    assert LEX1.negated().canonical != LEX1.canonical
+    assert FormFlag.of([(1, 1)]).canonical == FormFlag.of([(2, 2), (3, 3)]).canonical
+
+
+def test_bounded_scans_no_longer_decide():
+    nudged = FormFlag.of([(R2 + Fraction(1, 1000), 1)])
+    assert vlo_equal(PLUS, nudged) == (False, None)
+    assert not preserves([[1, Fraction(-1, 1000)], [0, 1]], PLUS)
+    assert vlo_equal(FormFlag.of([(1, 0)]), FormFlag.of([(0, 1)])) == (False, (1, 0))
+    with pytest.raises(UnsupportedFieldError):
+        vlo_equal(LEX1, FormFlag.of([(1, 0), (0, 1)], d=3))
+
+
 def test_probe_flags():
     assert len(probe_flags(2)) == 4
     assert len(probe_flags(3)) == 2
@@ -251,3 +272,89 @@ def test_form_sign_rejects_a_rank_mismatch():
         LEX1.form_sign((1,))
     with pytest.raises(ValueError):
         FormFlag.of([(1, 0), (0, 1, 2)])
+
+
+def _field_element(rng, d, positive=False):
+    while True:
+        x = QuadRat.of(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                       Fraction(rng.randint(-2, 2), rng.randint(1, 3)), d)
+        if x.sign() > 0 or (x.sign() and not positive):
+            return x
+
+
+def _random_flag(rng, rank, d):
+    def entry():
+        roll = rng.random()
+        if roll < 0.3:
+            return QuadRat.of(0, 0, d)
+        if roll < 0.7:
+            return QuadRat.of(rng.randint(-3, 3), 0, d)
+        return _field_element(rng, d)
+    vectors = []
+    while not vectors or len(vectors) < rng.randint(1, rank):
+        u = tuple(entry() for _ in range(rank))
+        if any(x.sign() for x in u):
+            vectors.append(u)
+    return vectors
+
+
+def _respelled(rng, vectors, d):
+    """The same sign map: each u_i times a positive field element, plus a
+    field combination of the rational and sqrt-d parts of earlier vectors,
+    with now and then a redundant vector inside the span so far."""
+    out, parts = [], []
+    for u in vectors:
+        scale = _field_element(rng, d, positive=True)
+        w = [scale * x for x in u]
+        for p in parts:
+            if rng.random() < 0.5:
+                c = _field_element(rng, d)
+                w = [x + c * y for x, y in zip(w, p)]
+        out.append(tuple(w))
+        parts += [[x.a for x in u], [x.b for x in u]]
+        if rng.random() < 0.2:
+            c = _field_element(rng, d)
+            out.append(tuple(c * y for y in rng.choice(parts)))
+    return out
+
+
+def _near_miss(rng, vectors, d):
+    roll = rng.random()
+    if roll < 0.4:
+        return _random_flag(rng, len(vectors[0]), d)
+    out = _respelled(rng, vectors, d)
+    i = rng.randrange(len(out))
+    if roll < 0.6:
+        out[i] = tuple(-x for x in out[i])
+    elif roll < 0.8:
+        j = rng.randrange(len(out[i]))
+        out[i] = tuple(x + Fraction(1, rng.randint(2, 5)) * (k == j)
+                       for k, x in enumerate(out[i]))
+    else:
+        out.reverse()
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_canonical_form_against_ball_scans(d):
+    """1,000 seeded flag pairs per field over Z^2 and Z^3, a third of them
+    positive respellings: respellings have equal canonical forms, equal
+    canonical forms never meet a disagreement on ball(12) / ball(5), and
+    nearly every unequal pair meets one there."""
+    rng = random.Random(1000 + d)
+    balls = {2: [v for v in Z2.ball(12) if any(v)],
+             3: [v for v in lattice_group(3).ball(5) if any(v)]}
+    equal = differ = 0
+    for i in range(1000):
+        rank = 2 if i % 2 else 3
+        vectors = _random_flag(rng, rank, d)
+        respell = i % 3 == 0
+        other = _respelled(rng, vectors, d) if respell else _near_miss(rng, vectors, d)
+        f1, f2 = FormFlag.of(vectors, d), FormFlag.of(other, d)
+        same = f1.canonical == f2.canonical
+        assert same or not respell, (vectors, other)
+        hit = next((v for v in balls[rank] if f1.form_sign(v) != f2.form_sign(v)), None)
+        assert not (same and hit), (vectors, other, hit)
+        equal += same
+        differ += hit is not None
+    assert equal >= 334 and differ >= 0.9 * (1000 - equal)
