@@ -1,12 +1,12 @@
 """Braid groups ordered by lowest-generator sign.
 
 Words are tuples of nonzero ints: i stands for the i-th Artin generator,
--i for its inverse.  A handle is a subword s1^e ... s1^-e with no other
-occurrence of the first generator between the pair; deleting the pair and
-replacing every s2^d inside by s2^-e s1^d s2^e yields the same braid.
-Handle reduction terminates and leaves a word whose first-generator letters
-all share one sign; that sign orders the group once words with no first
-generator at all are handled recursively, shifting every index down one.
+-i for its inverse.  Signs and equality come from Dynnikov coordinates:
+the braid group acts faithfully on integer vectors (a1, b1, ..., an, bn),
+and the image of the start vector (0, 1, ..., 0, 1) is a canonical key for
+the braid, computed in O(n + L).  The first coordinate that moves decides
+the sign of the ordering, and its pair index is the lowest generator the
+braid genuinely involves.
 
 The resulting ordering has the last generator as its least positive element.
 Composing with the index-reversing flip gives the mirror ordering, whose
@@ -14,9 +14,12 @@ least positive element is the first generator, and grafting the plain
 ordering onto the flip ordering's convex chain of prefix parabolic subgroups
 produces one ordering per generator, each with that generator least.
 
-Equality is decided by Dynnikov coordinates: the braid group acts
-faithfully on integer coordinate vectors, and the image of a fixed start
-vector is a canonical key for the braid, computed in O(n + L).
+Handle reduction rewrites words instead: a handle is a subword
+s1^e ... s1^-e with no other occurrence of the first generator between the
+pair; deleting the pair and replacing every s2^d inside by s2^-e s1^d s2^e
+yields the same braid, and the reduced word has first-generator letters of
+one sign.  It serves `ord braid reduce` and is the engine independent of
+the coordinates, which the battery and the tests check them against.
 """
 
 from __future__ import annotations
@@ -91,25 +94,29 @@ def handle_reduce(word, budget: int = DEFAULT_BUDGET) -> tuple:
 
 
 def sign_cascade(word, budget: int = DEFAULT_BUDGET):
-    """(sign, level) of a word: after reducing handles of the lowest
-    generator, its letters share one sign, which decides; a word free of the
-    lowest generator recurses one level up.  The trivial word gives (0, 0).
+    """(sign, level) of a word, from its Dynnikov coordinates.
+
+    The first coordinate c[k] that differs from the start vector gives the
+    sign of the difference and the level k // 2 + 1: the braid is free of
+    the generators below that level, and its letters of that generator
+    share the sign after handle reduction.  The trivial braid gives (0, 0).
+    budget bounds the letter steps of the action; a longer word raises
+    BudgetExceededError before any work.
     """
-    box = [budget]
-    w: list | tuple = reduce_word(word)
-    level = 1
-    while True:
-        w = _reduce_main(w, box)
-        if not w:
-            return (0, 0)
-        lowest = [a for a in w if abs(a) == 1]
-        if lowest:
-            return ((1 if lowest[0] > 0 else -1), level)
-        w = [(abs(a) - 1) * (1 if a > 0 else -1) for a in w]
-        level += 1
+    word = tuple(word)
+    if len(word) > budget:
+        raise BudgetExceededError("dynnikov step budget exhausted")
+    c = dynnikov_coordinates(max(map(abs, word), default=0) + 1, word)
+    for k, x in enumerate(c):
+        start = k & 1
+        if x != start:
+            return (1 if x > start else -1), k // 2 + 1
+    return (0, 0)
 
 
 def dehornoy_sign(word, budget: int = DEFAULT_BUDGET) -> int:
+    """The sign of the ordering whose least positive element is the last
+    generator: the sign half of sign_cascade."""
     return sign_cascade(word, budget)[0]
 
 

@@ -83,7 +83,7 @@ from .magnus import (
     shear_first,
     swap_generators,
 )
-from .quadfield import QuadRat, UnsupportedFieldError
+from .quadfield import QuadRat, UnsupportedFieldError, _is_square_free
 
 COMPUTE_ERRORS = (
     BudgetExceededError,
@@ -101,6 +101,35 @@ SIGN_CHARS = {1: "+", -1: "-", 0: "0"}
 
 class UsageError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse.ArgumentError on a bad option value instead of
+    exiting, so main reports it as a usage error like every other."""
+
+    def __init__(self, **kwargs):
+        super().__init__(exit_on_error=False, **kwargs)
+
+
+def _int_arg(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+
+
+def _non_negative(text: str) -> int:
+    value = _int_arg(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
+def _field_d(text: str) -> int:
+    d = _int_arg(text)
+    if not _is_square_free(d):
+        raise argparse.ArgumentTypeError(f"d must be square-free and >= 2, got {d}")
+    return d
 
 
 def _parse_letters(text: str) -> tuple:
@@ -502,7 +531,7 @@ def _verify_determinism() -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ord",
         description="left-orderings of concrete groups as sign oracles")
     sub = parser.add_subparsers(dest="area", required=True)
@@ -513,25 +542,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strands", type=int, required=True)
     p.add_argument("--word", required=True)
     p.add_argument("--ordering", default="dehornoy")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_non_negative, default=DEFAULT_BUDGET,
+                   help="bound on Dynnikov letter steps per sign")
     p.set_defaults(func=cmd_braid_sign)
     p = braid.add_parser("compare", help="compare two words")
     p.add_argument("--strands", type=int, required=True)
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--ordering", default="dehornoy")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_non_negative, default=DEFAULT_BUDGET,
+                   help="bound on Dynnikov letter steps per sign")
     p.set_defaults(func=cmd_braid_compare)
     p = braid.add_parser("reduce", help="reduce the handles of a word")
     p.add_argument("--strands", type=int, required=True)
     p.add_argument("--word", required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_non_negative, default=DEFAULT_BUDGET,
+                   help="bound on handle reductions")
     p.set_defaults(func=cmd_braid_reduce)
     p = braid.add_parser("least", help="least positive element of a ball")
     p.add_argument("--strands", type=int, required=True)
     p.add_argument("--radius", type=int, default=3)
     p.add_argument("--ordering", default="dehornoy")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_non_negative, default=DEFAULT_BUDGET,
+                   help="bound on Dynnikov letter steps per sign")
     p.set_defaults(func=cmd_braid_least)
 
     klein = sub.add_parser("klein", help="the four Klein bottle orderings").add_subparsers(
@@ -554,11 +587,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = abelian.add_parser("sign", help="sign of a vector under a flag")
     p.add_argument("--flag", required=True)
     p.add_argument("--vector", required=True)
-    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--d", type=_field_d, default=2)
     p.set_defaults(func=cmd_abelian_sign)
     p = abelian.add_parser("eigen", help="flags preserved by a matrix")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--d", type=_field_d, default=2)
     p.set_defaults(func=cmd_abelian_eigen)
     p = abelian.add_parser("star", help="positive scalar ratio or a witness")
     p.add_argument("--matrix", required=True)
@@ -568,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--second", required=True)
     p.add_argument("--basis1")
     p.add_argument("--basis2")
-    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--d", type=_field_d, default=2)
     p.set_defaults(func=cmd_abelian_vlo)
 
     free = sub.add_parser("free", help="free group orderings").add_subparsers(
@@ -634,13 +667,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except COMPUTE_ERRORS as err:
         print(f"error: {type(err).__name__}: {err}")
         return 1
-    except ValueError as err:
+    except (ValueError, argparse.ArgumentError) as err:
         print(f"usage error: {err}")
         return 2
 

@@ -178,8 +178,9 @@ def suite_least_elements():
 
 
 def suite_handle_robustness():
-    """Random braid words sign without exhausting the handle budget, signs
-    respect inversion, and comparisons survive independent renormalization."""
+    """Random braid words sign within the step budget, signs respect
+    inversion, and comparisons survive renormalization by handle reduction,
+    the engine independent of the Dynnikov signs."""
     rng = random.Random(SEED)
     budget_failures = 0
     trichotomy_failures = 0

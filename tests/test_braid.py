@@ -4,7 +4,9 @@ The independent referee here is the faithful action of a braid on a free
 group, with the i-th generator mapping x_i to x_i x_{i+1} x_i^-1 and
 x_{i+1} to x_i.  A word acts trivially exactly when it is the trivial
 braid, which cross-checks both the sign computation and the claim that
-handle reduction preserves the element.
+handle reduction preserves the element.  Signs and keys come from Dynnikov
+coordinates, so handle reduction is the second referee: a cascade built
+from it must give the same sign and level on seeded corpora.
 """
 
 import random
@@ -29,6 +31,7 @@ from ordlib.braid import (
 )
 from ordlib.core import (
     BudgetExceededError,
+    IdentitySignError,
     certify_least_positive,
     check_bi_invariance,
     check_convex_in_ball,
@@ -118,6 +121,13 @@ def test_budget_exhaustion_raises():
         dehornoy_sign((1, 2, -1), budget=0)
 
 
+def test_sign_budget_counts_letter_steps():
+    assert dehornoy_sign((1, 2, -1), budget=3) == 1
+    with pytest.raises(BudgetExceededError, match="dynnikov step budget"):
+        dehornoy_sign((1, 2, -1), budget=2)
+    assert sign_cascade((), budget=0) == (0, 0)
+
+
 def test_sign_cascade():
     assert sign_cascade(()) == (0, 0)
     assert sign_cascade((1,)) == (1, 1)
@@ -167,9 +177,9 @@ def _respell(rng, n, w) -> tuple:
 
 
 def test_key_matches_the_sign_cascade():
-    """key(u) == key(v) exactly when u v^-1 is the trivial braid, on 3,000
-    seeded pairs: respellings of one braid, unrelated words, and near
-    misses that swap two adjacent letters or invert one."""
+    """key(u) == key(v) exactly when handle reduction takes u v^-1 to the
+    empty word, on 3,000 seeded pairs: respellings of one braid, unrelated
+    words, and near misses that swap two adjacent letters or invert one."""
     rng = random.Random(41)
     pairs = 0
     equal = 0
@@ -186,12 +196,67 @@ def test_key_matches_the_sign_cascade():
             for v in (_respell(rng, n, w), random_word(rng, n, rng.randint(0, 12)),
                       tuple(near)):
                 same = group.key(w) == group.key(v)
-                assert same == (dehornoy_sign(w + group.invert(v)) == 0), (n, w, v)
+                assert same == (handle_reduce(w + group.invert(v)) == ()), (n, w, v)
                 assert same == group.same(w, v)
                 pairs += 1
                 equal += same
     assert pairs == 3000
     assert 1000 <= equal < 1100
+
+
+def _handle_cascade(word):
+    """(sign, level) by handle reduction alone: reduce, read the sign of the
+    first-generator letters, or shift every index down and go one level up."""
+    w = handle_reduce(word)
+    level = 1
+    while w:
+        lowest = [a for a in w if abs(a) == 1]
+        if lowest:
+            return (1 if lowest[0] > 0 else -1), level
+        w = handle_reduce([(abs(a) - 1) * (1 if a > 0 else -1) for a in w])
+        level += 1
+    return (0, 0)
+
+
+def test_dynnikov_cascade_against_handle_reduction():
+    """sign_cascade and ordering_oracle agree with the handle-reduction
+    cascade on 10,080 seeded words over B3-B7, 720 per corpus; the corpora
+    without s1, and without s1 and s2, reach levels 2 and 3."""
+    rng = random.Random(59)
+    words = 0
+    levels = {}
+    for n in (3, 4, 5, 6, 7):
+        for lowest in range(1, min(n, 4)):
+            letters = [s * i for i in range(lowest, n) for s in (1, -1)]
+            for _ in range(720):
+                w = tuple(rng.choice(letters) for _ in range(rng.randint(0, 24)))
+                expected = _handle_cascade(w)
+                assert sign_cascade(w) == expected, (n, w)
+                levels[expected[1]] = levels.get(expected[1], 0) + 1
+                i = rng.randrange(1, n)
+                s_flip, level = _handle_cascade(flip_word(n, w))
+                inside = s_flip and n - level + 1 <= i + 1
+                want = expected[0] if inside else s_flip
+                oracle = ordering_oracle(braid_group(n), i)
+                if want == 0:
+                    with pytest.raises(IdentitySignError):
+                        oracle.sign(w)
+                else:
+                    assert oracle.sign(w) == want, (n, i, w)
+                words += 1
+    assert words == 10_080
+    assert min(levels[1], levels[2], levels[3]) >= 1000
+    assert levels[0] >= 100
+
+
+def test_long_words_satisfy_trichotomy():
+    rng = random.Random(61)
+    for n, length in ((4, 16384), (10, 4096)):
+        for _ in range(2):
+            w = random_word(rng, n, length)
+            s, level = sign_cascade(w)
+            assert s != 0
+            assert sign_cascade(braid_group(n).invert(w)) == (-s, level)
 
 
 def test_ball_lookup_by_key():

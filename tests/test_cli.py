@@ -220,6 +220,10 @@ def test_verify_single_suite(capsys):
     ("braid", "reduce", "--strands", "3", "--word", "0,0"),
     ("abelian", "sign", "--flag", "(√3,1)", "--vector", "(1,-2)"),
     ("abelian", "vlo", "--first", "(sqrt5,1)", "--second", "(1,0)", "--d", "3"),
+    ("braid", "sign", "--strands", "4", "--word", "1 2 -1", "--budget", "-5"),
+    ("abelian", "sign", "--flag", "(1,1)", "--vector", "(1,-2)", "--d", "4"),
+    ("abelian", "sign", "--flag", "(1,1)", "--vector", "(1,-2)", "--d", "1"),
+    ("abelian", "sign", "--flag", "(1,1)", "--vector", "(1,-2)", "--d", "0"),
 ])
 def test_usage_errors_exit_two(capsys, argv):
     rc, out = run(capsys, *argv)
