@@ -97,6 +97,7 @@ COMPUTE_ERRORS = (
 )
 
 SIGN_CHARS = {1: "+", -1: "-", 0: "0"}
+MAX_FIELD_D = 10**9
 
 
 class UsageError(ValueError):
@@ -127,6 +128,9 @@ def _non_negative(text: str) -> int:
 
 def _field_d(text: str) -> int:
     d = _int_arg(text)
+    # square-freeness is tested by trial division, so bound d before it
+    if d > MAX_FIELD_D:
+        raise argparse.ArgumentTypeError(f"d must be at most 10**9, got {d}")
     if not _is_square_free(d):
         raise argparse.ArgumentTypeError(f"d must be square-free and >= 2, got {d}")
     return d
@@ -293,7 +297,7 @@ def cmd_klein_orderings(args) -> int:
 
 
 def cmd_klein_kernel(args) -> int:
-    for phi in klein_action_kernel(args.m_bound, args.radius):
+    for phi in klein_action_kernel(args.m_bound):
         print(phi.descriptor())
     return 0
 
@@ -363,19 +367,19 @@ def cmd_abelian_vlo(args) -> int:
     return 0
 
 
-def _free_oracle(group, name: str, degree: int):
+def _free_oracle(group, name: str):
     if name == "series":
-        return magnus_oracle(group, degree)
+        return magnus_oracle(group)
     if name == "nclex-x":
-        return closure_lex_oracle(group, 1, degree)
+        return closure_lex_oracle(group, 1)
     if name == "nclex-y":
-        return closure_lex_oracle(group, 2, degree)
+        return closure_lex_oracle(group, 2)
     raise UsageError(f"unknown ordering {name!r}")
 
 
 def cmd_free_sign(args) -> int:
     group = free_group(args.rank)
-    oracle = _free_oracle(group, args.ordering, args.degree)
+    oracle = _free_oracle(group, args.ordering)
     print(SIGN_CHARS[oracle.fn(parse_word(group, args.word))])
     return 0
 
@@ -391,12 +395,12 @@ FREE_PROBES = {
 def cmd_free_witness(args) -> int:
     group = free_group(2)
     phi = FREE_PROBES[args.probe](group)
-    series = magnus_oracle(group, args.degree)
+    series = magnus_oracle(group)
     catalog = [series]
     catalog.extend(act_automorphism(FREE_PROBES[p](group), series)
                    for p in FREE_PROBES)
-    catalog.append(closure_lex_oracle(group, 1, args.degree))
-    catalog.append(closure_lex_oracle(group, 2, args.degree))
+    catalog.append(closure_lex_oracle(group, 1))
+    catalog.append(closure_lex_oracle(group, 2))
     hit = distinguishing_witness(phi, catalog, group, args.radius)
     if hit is None:
         print("none")
@@ -574,7 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_klein_orderings)
     p = klein.add_parser("kernel", help="automorphisms fixing all orderings")
     p.add_argument("--m-bound", type=int, required=True)
-    p.add_argument("--radius", type=int, default=8)
     p.set_defaults(func=cmd_klein_kernel)
     p = klein.add_parser("witness", help="first ordering an automorphism moves")
     p.add_argument("--eps", type=int, required=True)
@@ -610,12 +613,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", required=True)
     p.add_argument("--rank", type=int, default=2)
     p.add_argument("--ordering", default="series")
-    p.add_argument("--degree", type=int, default=8)
     p.set_defaults(func=cmd_free_sign)
     p = free.add_parser("witness", help="ordering moved by an automorphism")
     p.add_argument("--probe", required=True, choices=sorted(FREE_PROBES))
     p.add_argument("--radius", type=int, default=3)
-    p.add_argument("--degree", type=int, default=6)
     p.set_defaults(func=cmd_free_witness)
 
     ext = sub.add_parser("ext", help="ordered split extensions").add_subparsers(

@@ -197,16 +197,6 @@ class GroupAutomorphism:
         return f"GroupAutomorphism({self.descriptor})"
 
 
-def compose_automorphisms(phi: GroupAutomorphism, psi: GroupAutomorphism) -> GroupAutomorphism:
-    """phi after psi (forward = phi.forward of psi.forward)."""
-    return GroupAutomorphism(
-        group=phi.group,
-        forward=lambda g: phi.forward(psi.forward(g)),
-        backward=lambda g: psi.backward(phi.backward(g)),
-        descriptor=f"{phi.descriptor}*{psi.descriptor}",
-    )
-
-
 def inner_automorphism(group: Group, g) -> GroupAutomorphism:
     ginv = group.invert(g)
     return GroupAutomorphism(
@@ -275,17 +265,6 @@ def act_automorphism(phi: GroupAutomorphism, oracle: SignOracle) -> SignOracle:
         group=oracle.group,
         fn=lambda g: oracle.fn(phi.backward(g)),
         descriptor=f"{phi.descriptor}.{oracle.descriptor}",
-    )
-
-
-def conjugate_ordering(g, oracle: SignOracle) -> SignOracle:
-    """The ordering g(P): new sign of h is the old sign of g^-1 h g."""
-    grp = oracle.group
-    ginv = grp.invert(g)
-    return SignOracle(
-        group=grp,
-        fn=lambda h: oracle.fn(grp.multiply(grp.multiply(ginv, h), g)),
-        descriptor=f"conj[{grp.label(g)}].{oracle.descriptor}",
     )
 
 

@@ -29,11 +29,9 @@ from .core import (
     IdentitySignError,
     RefusedConstructionError,
     SignOracle,
-    act_automorphism,
-    check_bi_invariance,
     least_positive_in_ball,
 )
-from .lattice import FormFlag, TotalityError, eigen_orderings, vlo_equal
+from .lattice import FormFlag, TotalityError
 from .magnus import free_group
 from .quadfield import QuadRat
 
@@ -200,37 +198,26 @@ def klein_family(m_bound: int):
                 yield KleinAut(eps, delta, m)
 
 
-def klein_action_kernel(m_bound: int, radius: int = 8) -> list:
-    """Family members fixing all four orderings, checked sign by sign on
-    ball(radius).  Contains every (1, 1, m), inner-by-y among them, which
-    is why the action on the ordering space is not faithful."""
+def klein_action_kernel(m_bound: int) -> list:
+    """Family members fixing all four orderings.  The four are all of
+    LO(Klein), so the action on their labels decides this exactly: the
+    kernel is every (1, 1, m), inner-by-y among them, which is why the
+    action on the ordering space is not faithful."""
     if m_bound < 1:
         raise ValueError("m_bound must be at least 1")
-    group = klein_group()
-    ball = [g for g in group.ball(radius) if g != group.identity]
-    orderings = klein_orderings(group)
-    kernel = []
-    for phi in klein_family(m_bound):
-        auto = phi.to_automorphism(group)
-        if all(act_automorphism(auto, ordering).sign(g) == ordering.sign(g)
-               for ordering in orderings for g in ball):
-            kernel.append(phi)
-    return kernel
+    return [phi for phi in klein_family(m_bound)
+            if all(phi.action_on_labels(p) == p for p in KLEIN_PARAMS)]
 
 
-def klein_action_witness(phi: KleinAut, radius: int = 2):
-    """The first (ordering, element) the pushforward moves, scanning
-    orderings and the ball in canonical order; None on the kernel."""
-    group = klein_group()
-    auto = phi.to_automorphism(group)
-    for ordering in klein_orderings(group):
-        moved = act_automorphism(auto, ordering)
-        for g in group.ball(radius):
-            if g == group.identity:
-                continue
-            if moved.sign(g) != ordering.sign(g):
-                return (ordering, g)
-    return None
+def klein_action_witness(phi: KleinAut):
+    """(klein[++], g) with g moved across that cone by the pushforward, or
+    None on the kernel.  Off the kernel phi moves klein[++]; phi^-1 sends x
+    to x^eps y^m and y to y^delta, so x changes sign when eps = -1 and
+    otherwise y does."""
+    plus = KLEIN_PARAMS[0]
+    if phi.action_on_labels(plus) == plus:
+        return None
+    return (klein_ordering(plus), (0, 1) if phi.eps == -1 else (1, 0))
 
 
 _PLANE_ZERO = (Fraction(0), Fraction(0))
@@ -296,16 +283,6 @@ def _weighted_rationals(w: int) -> tuple:
 @functools.cache
 def rational_plane() -> RationalPlaneGroup:
     return RationalPlaneGroup()
-
-
-def plane_flag_oracle(flag: FormFlag,
-                      group: RationalPlaneGroup | None = None) -> SignOracle:
-    """A form-flag ordering read on exact rational coordinates."""
-    if group is None:
-        group = rational_plane()
-    if not flag.is_total():
-        raise TotalityError(f"{flag.descriptor()} is not total")
-    return SignOracle(group=group, fn=flag.form_sign, descriptor=flag.descriptor())
 
 
 class ZExtensionGroup(Group):
@@ -535,7 +512,7 @@ def lex_extension(pk: SignOracle, ext: ZExtensionGroup) -> SignOracle:
     as witness, when it fails.  The Z letter comes out as the least
     positive element.
     """
-    if ext.base is not pk.group:
+    if ext.base != pk.group:
         raise ValueError("the ordering and the extension have different bases")
     witness = conjugation_preserves(pk, twist_automorphism(ext), TWIST_CHECK_RADIUS)
     if witness is not None:
@@ -562,29 +539,6 @@ def klein_as_extension() -> ZExtensionGroup:
     lex_extension refuses with witness y."""
     base = free_group(1, ("y",))
     return ZExtensionGroup(base, base.invert, base.invert, "Klein-ext")
-
-
-@dataclass(frozen=True)
-class ExtensionEvidence:
-    """Why no left-ordering of G is conjugation-invariant."""
-
-    eigen_a: tuple
-    eigen_neg_a: tuple
-    common: tuple
-    bi_invariance_witness: tuple | None
-
-
-def g_not_biorderable_evidence(radius: int = 3) -> ExtensionEvidence:
-    """The plane orderings preserved by the matrix and by its negation
-    share nothing, and the constructed G-ordering shows an explicit
-    conjugation flip inside ball(radius)."""
-    eigen_a = tuple(eigen_orderings(HYPERBOLIC_MATRIX))
-    neg = tuple(tuple(-x for x in row) for row in HYPERBOLIC_MATRIX)
-    eigen_neg = tuple(eigen_orderings(neg))
-    common = tuple(f for f in eigen_a
-                   if any(vlo_equal(f, h)[0] for h in eigen_neg))
-    witness = check_bi_invariance(g_ordering(), g_group(), radius)
-    return ExtensionEvidence(eigen_a, eigen_neg, common, witness)
 
 
 def g_least_positive(radius: int = 3):

@@ -1,12 +1,14 @@
 """Free groups ordered through truncated power-series expansions.
 
-A reduced word maps to a series in noncommuting variables by sending each
-generator x to 1 + X and each inverse to the alternating geometric series,
-truncated at a fixed total degree.  The word's sign is the sign of the
-coefficient on the smallest surviving monomial in (degree, lex) order; the
-expansion of a nontrivial word is eventually nonzero, so a truncation that
-sees nothing escalates its degree before giving up.  The resulting ordering
-of the free group is invariant under conjugation on both sides.
+A word maps to a series in noncommuting variables by sending each generator
+x to 1 + X and each inverse to the alternating geometric series.  The word's
+sign is the sign of the coefficient on its least nonconstant monomial in
+(degree, lex) order.  Truncating at total degree d computes every
+coefficient of degree at most d exactly, so the sign is found by expanding
+letter by letter at truncation 1, 2, 4, ... until some monomial survives; a
+nontrivial reduced word always has one.  No truncation choice can change a
+sign, only the time it takes.  The resulting ordering of the free group is
+invariant under conjugation on both sides.
 
 A second family of orderings is not: close one generator into its normal
 closure N, a free group on the shifted conjugates x_i = y^i x y^-i, and let N
@@ -18,14 +20,14 @@ word onto a pure negative power of y.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 
 from .core import Group, GroupAutomorphism, InconclusiveTruncationError, SignOracle
 
-DEFAULT_DEGREE = 8
 ESCALATION_CAP = 32
+# parse_word refuses to expand x^k factors past this many letters
+MAX_WORD_LETTERS = 10**6
 
 _INT_TOKEN = re.compile(r"[+-]?\d+")
 
@@ -60,6 +62,14 @@ class FreeGroup(Group):
         self.rank = rank
         self.names = tuple(names)
         self.name = f"F({','.join(self.names)})"
+
+    # equal by rank and names, so free_group(...) needs no instance cache
+    def __eq__(self, other):
+        return (isinstance(other, FreeGroup)
+                and (self.rank, self.names) == (other.rank, other.names))
+
+    def __hash__(self):
+        return hash((self.rank, self.names))
 
     @property
     def identity(self):
@@ -106,7 +116,6 @@ class FreeGroup(Group):
             words = grown
 
 
-@functools.cache
 def free_group(rank: int, names: tuple = ()) -> FreeGroup:
     return FreeGroup(rank, names)
 
@@ -146,6 +155,8 @@ def parse_word(group: FreeGroup, text: str) -> tuple:
         if name not in by_name:
             raise ValueError(f"unknown generator {name!r}")
         i = by_name[name]
+        if abs(k) > MAX_WORD_LETTERS - len(letters):
+            raise ValueError(f"word expands past {MAX_WORD_LETTERS} letters at {token!r}")
         letters.extend([i if k > 0 else -i] * abs(k))
     return reduce_word(letters)
 
@@ -170,11 +181,12 @@ class TruncSeries:
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         cap = self.degree
         out: dict = {}
+        right = sorted(other.terms.items(), key=lambda t: len(t[0]))
         for m1, c1 in self.terms.items():
             room = cap - len(m1)
-            for m2, c2 in other.terms.items():
+            for m2, c2 in right:
                 if len(m2) > room:
-                    continue
+                    break
                 key = m1 + m2
                 acc = out.get(key, 0) + c1 * c2
                 if acc:
@@ -193,7 +205,6 @@ class TruncSeries:
         return None if best is None else (best, self.terms[best])
 
 
-@functools.cache
 def _letter_series(label, e: int, degree: int) -> TruncSeries:
     # x -> 1 + X, x^-1 -> 1 - X + X^2 - ... up to the truncation degree
     if e == 1:
@@ -202,35 +213,29 @@ def _letter_series(label, e: int, degree: int) -> TruncSeries:
     return TruncSeries(degree, terms)
 
 
-@functools.cache
-def _expand_prefix(pairs: tuple, degree: int) -> TruncSeries:
-    if not pairs:
-        return TruncSeries.unit(degree)
-    label, e = pairs[-1]
-    return _expand_prefix(pairs[:-1], degree) * _letter_series(label, e, degree)
-
-
 def expand_letters(pairs, degree: int) -> TruncSeries:
-    """Expand a word given as (label, sign) pairs.
+    """Expand a word given as (label, sign) pairs, truncated at ``degree``.
 
-    Prefixes are cached, so the many overlapping words of a ball scan share
-    their expansion work.  Callers must not mutate the returned terms.
+    One pass over the letters, multiplying by each letter's series; every
+    coefficient of degree at most ``degree`` is exact.
     """
-    return _expand_prefix(tuple(pairs), degree)
+    series = TruncSeries.unit(degree)
+    for label, e in pairs:
+        series = series * _letter_series(label, e, degree)
+    return series
 
 
-def series_sign(pairs, degree: int = DEFAULT_DEGREE, cap: int = ESCALATION_CAP) -> int:
-    """Sign of the least surviving monomial's coefficient, escalating the
-    truncation degree by doubling until something survives."""
+def series_sign(pairs, cap: int = ESCALATION_CAP) -> int:
+    """Sign of the least nonconstant monomial's coefficient, expanding at
+    truncation 1, 2, 4, ... up to ``cap`` until some monomial survives."""
     pairs = tuple(pairs)
     if not pairs:
         return 0
-    d = degree
+    d = 1
     while True:
         term = expand_letters(pairs, d).minimal_term()
         if term is not None:
-            coeff = term[1]
-            return 1 if coeff > 0 else -1
+            return 1 if term[1] > 0 else -1
         if d >= cap:
             raise InconclusiveTruncationError(
                 f"expansion is trivial up to degree {d}; the word may need a larger cap")
@@ -241,18 +246,17 @@ def _word_pairs(word):
     return tuple((abs(a), 1 if a > 0 else -1) for a in word)
 
 
-def magnus_sign(word, degree: int = DEFAULT_DEGREE, cap: int = ESCALATION_CAP) -> int:
-    return series_sign(_word_pairs(word), degree, cap)
+def magnus_sign(word) -> int:
+    return series_sign(_word_pairs(word))
 
 
-def magnus_oracle(group: FreeGroup, degree: int = DEFAULT_DEGREE,
-                  cap: int = ESCALATION_CAP) -> SignOracle:
-    """The series ordering of a free group; invariant under conjugation."""
-    return SignOracle(
-        group=group,
-        fn=lambda w: series_sign(_word_pairs(w), degree, cap),
-        descriptor=f"series[deg{degree}]",
-    )
+def magnus_oracle(group: FreeGroup) -> SignOracle:
+    """The series ordering of a free group; invariant under conjugation.
+
+    Signs do not depend on a truncation degree.  The descriptor keeps the
+    fixed label ``series[deg6]`` that existing outputs print.
+    """
+    return SignOracle(group=group, fn=magnus_sign, descriptor="series[deg6]")
 
 
 def closure_rewrite(group: FreeGroup, word, closed: int):
@@ -274,8 +278,7 @@ def closure_rewrite(group: FreeGroup, word, closed: int):
     return tuple(pairs)
 
 
-def closure_lex_sign(group: FreeGroup, word, closed: int = 1,
-                     degree: int = DEFAULT_DEGREE, cap: int = ESCALATION_CAP) -> int:
+def closure_lex_sign(group: FreeGroup, word, closed: int = 1) -> int:
     if group.rank != 2:
         raise ValueError("closure ordering is defined for rank 2")
     other = 3 - closed
@@ -283,11 +286,10 @@ def closure_lex_sign(group: FreeGroup, word, closed: int = 1,
     kpart = group.multiply(word, (other,) * (-e) if e < 0 else (-other,) * e)
     if not kpart:
         return 0 if e == 0 else (1 if e > 0 else -1)
-    return series_sign(closure_rewrite(group, kpart, closed), degree, cap)
+    return series_sign(closure_rewrite(group, kpart, closed))
 
 
-def closure_lex_oracle(group: FreeGroup, closed: int = 1,
-                       degree: int = DEFAULT_DEGREE, cap: int = ESCALATION_CAP) -> SignOracle:
+def closure_lex_oracle(group: FreeGroup, closed: int = 1) -> SignOracle:
     """The normal-closure-dominant ordering of a rank 2 free group.
 
     Positive words have a series-positive part in the closure of the chosen
@@ -299,7 +301,7 @@ def closure_lex_oracle(group: FreeGroup, closed: int = 1,
     name = group.names[closed - 1]
     return SignOracle(
         group=group,
-        fn=lambda w: closure_lex_sign(group, w, closed, degree, cap),
+        fn=lambda w: closure_lex_sign(group, w, closed),
         descriptor=f"nclex[{name}]",
     )
 

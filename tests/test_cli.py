@@ -1,7 +1,9 @@
 """End-to-end runs of the command tree against frozen text output."""
 
+import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -141,6 +143,11 @@ def test_free_commands(capsys):
     assert (rc, out) == (0, ["series[deg6]@x y^-1"])
 
 
+def test_free_sign_of_a_long_word(capsys):
+    rc, out = run(capsys, "free", "sign", "--word", " ".join(["x y"] * 400))
+    assert (rc, out) == (0, ["+"])
+
+
 def test_ext_commands(capsys):
     rc, out = run(capsys, "ext", "build")
     assert (rc, out) == (0, ["constructed lex[k-lex[flag[(-√2,1)]]]"])
@@ -224,11 +231,29 @@ def test_verify_single_suite(capsys):
     ("abelian", "sign", "--flag", "(1,1)", "--vector", "(1,-2)", "--d", "4"),
     ("abelian", "sign", "--flag", "(1,1)", "--vector", "(1,-2)", "--d", "1"),
     ("abelian", "sign", "--flag", "(1,1)", "--vector", "(1,-2)", "--d", "0"),
+    ("free", "sign", "--word", "x^99999999999"),
+    ("free", "sign", "--word", "x^600000 y^600000"),
+    # 10**18 - 11 is prime: trial division would run for minutes
+    ("abelian", "eigen", "--matrix", "[[1,2],[1,1]]", "--d", str(10**18 - 11)),
 ])
 def test_usage_errors_exit_two(capsys, argv):
+    start = time.perf_counter()
     rc, out = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
     assert rc == 2
     assert out[0].startswith("usage error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("free", "sign", "--word", "x", "--degree", "8"),
+    ("free", "witness", "--probe", "swap", "--degree", "6"),
+    ("klein", "kernel", "--m-bound", "2", "--radius", "8"),
+])
+def test_removed_options_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 def test_computational_errors_exit_one(capsys):
@@ -257,3 +282,116 @@ def test_negative_radius_is_a_usage_error(argv):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stdout + proc.stderr
     assert proc.stdout == "usage error: radius must be non-negative\n"
+
+
+# Values the argv fuzz draws from: valid ones, malformed ones, and values
+# that once crashed or stalled the command (huge exponents and fields, long
+# words, negative radii).  Radii stay small where a ball grows fast.
+_WORDS = ["x y x^-1 y^-1", "xyX", "x^-1 y", "1 2 -1", "", "1", "q", "x^",
+          "x^99999999999", "x^1000001", "3 1", "0", "y^-3 x^2 y^3",
+          " ".join(["x y"] * 400), "x*y", "x^-0"]
+_BRAID_WORDS = ["1 2 -1", "-1 2", "", "0", "5", "x", "1,-3", "2,2,-1",
+                "1 3 2 3 -2 -3 -2 -1", " ".join(["1 2"] * 200)]
+_MATRICES = ["[[1,2],[1,1]]", "[[3,0],[0,2]]", "[[2,0],[0,2]]",
+             "[[0,0],[0,0]]", "[[1,1],[0,1]]", "[[0,1],[1,1]]", "[[1,2]",
+             "[[a,b],[c,d]]", "[[1/2,0],[0,1]]", "[[1,0,0],[0,2,0],[0,0,3]]",
+             "[[1,2],[3]]", "[[-1,0],[0,-1]]"]
+_FLAGS = ["(1,0);(0,1)", "(√2,1)", "(-√2,1)", "(sqrt2,1)", "(1+√2,1)",
+          "(√3,1)", "(√5,1)", "(1,1/1000);(0,1)", "(0,0)", "(1,", "",
+          "(2,0);(0,2)", "(1,0,0);(0,1,0);(0,0,1)", "(3/2√2,1)", "(√4,1)"]
+_VECTORS = ["(1,1)", "(0,-3)", "(1,-2)", "(√2,1)", "()", "(1,2,3)", "(x,1)"]
+_D = ["2", "3", "5", "1", "0", "-7", "4", str(10**18 - 11), "1000000007", "x"]
+_RADII = ["-3", "-1", "0", "1", "2", "3", "x", ""]
+_INTS = ["-2", "0", "1", "2", "3", "x"]
+_SIGNS = ["1", "-1", "0", "2", "x"]
+
+_COMMANDS = [
+    (("braid", "sign"), {"--strands": ["2", "3", "4", "0", "x"],
+                         "--word": _BRAID_WORDS,
+                         "--ordering": ["dehornoy", "flip", "1", "2", "9", "x"],
+                         "--budget": ["0", "-5", "100", "x"]}),
+    (("braid", "compare"), {"--strands": ["3", "4", "1"], "--left": _BRAID_WORDS,
+                            "--right": _BRAID_WORDS,
+                            "--ordering": ["dehornoy", "flip", "2"]}),
+    (("braid", "reduce"), {"--strands": ["3", "4", "-1"], "--word": _BRAID_WORDS,
+                           "--budget": ["0", "5", "-5"]}),
+    (("braid", "least"), {"--strands": ["2", "3", "4", "1"],
+                          "--radius": _RADII + ["4", "6"],
+                          "--ordering": ["dehornoy", "flip", "1", "3"]}),
+    (("klein", "orderings"), {"--radius": _RADII + ["6"]}),
+    (("klein", "kernel"), {"--m-bound": ["-1", "0", "1", "3", "50", "x"]}),
+    (("klein", "witness"), {"--eps": _SIGNS, "--delta": _SIGNS, "--m": _INTS}),
+    (("abelian", "sign"), {"--flag": _FLAGS, "--vector": _VECTORS, "--d": _D}),
+    (("abelian", "eigen"), {"--matrix": _MATRICES, "--d": _D}),
+    (("abelian", "star"), {"--matrix": _MATRICES}),
+    (("abelian", "vlo"), {"--first": _FLAGS, "--second": _FLAGS,
+                          "--basis1": _MATRICES, "--basis2": _MATRICES,
+                          "--d": _D}),
+    (("free", "sign"), {"--word": _WORDS, "--rank": ["1", "2", "3", "0", "x"],
+                        "--ordering": ["series", "nclex-x", "nclex-y", "nope"]}),
+    (("free", "witness"), {"--probe": ["swap", "invert", "shear", "inner", "nope"],
+                           "--radius": _RADII}),
+    (("ext", "build"), {"--target": ["g", "klein", "x"]}),
+    (("ext", "verify"), {"--radius": _RADII[:6]}),
+    (("ext", "least"), {"--radius": _RADII + ["6"]}),
+    (("lospace", "enum"), {"--group": ["z", "z2", "z3", "klein", "f2", "nope"],
+                           "--radius": _RADII[:5]}),
+    (("lospace", "extend"), {"--group": ["z", "z2", "klein", "f2"],
+                             "--radius": _RADII[:5], "--radius2": _RADII[:6],
+                             "--index": _INTS, "--max-results": _INTS}),
+    (("lospace", "separate"), {"--group": ["klein", "z2"],
+                               "--first": ["++", "+-", "pm", "mm", "zz", ""],
+                               "--second": ["++", "-+", "mp", "x"],
+                               "--radius": _RADII + ["6"]}),
+    (("lospace", "star"), {"--group": ["z", "z2", "z3", "klein", "f2"],
+                           "--matrix": _MATRICES, "--probe": ["swap", "nope"],
+                           "--aut": ["1,-1,0", "-1,1,2", "1,1", "2,1,0", "x"],
+                           "--radius": _RADII + ["6"],
+                           "--bound": ["-1", "0", "8", "50", "x"]}),
+    (("verify",), {None: ["matrix-eigen", "free-probes", "klein-kernel", "7",
+                          "11", "0", "99", "nosuch", "determinism matrix-eigen"]}),
+]
+
+# Dropping an option of these runs its default, a multi-second check.
+_SLOW_DEFAULTS = {("verify",), ("ext", "verify")}
+# Text values also get one random character edit; numbers do not, since an
+# edit can turn a radius of 3 into 33.
+_TEXT_OPTIONS = {"--word", "--left", "--right", "--matrix", "--basis1",
+                 "--basis2", "--flag", "--vector", "--first", "--second", "--aut"}
+
+
+def _mutate(rng, text):
+    """Drop, repeat or insert one character."""
+    i = rng.randrange(len(text) + 1)
+    edit = rng.randrange(3) if text else 2
+    if edit == 0:
+        return text[:i] + text[i + 1:]
+    if edit == 1:
+        return text[:i] + text[i:i + 1] * 2 + text[i + 1:]
+    return text[:i] + rng.choice("xyXY012-^*,;()[]/√ ") + text[i:]
+
+
+def test_argv_fuzz_keeps_the_exit_contract(capsys):
+    """Seeded argv mutations over every subcommand: each run ends in exit
+    code 0, 1 or 2, and only argparse's own usage exit (SystemExit 2) may
+    leave main; any other exception fails the test."""
+    rng = random.Random(6)
+    codes = set()
+    for _ in range(400):
+        path, options = rng.choice(_COMMANDS)
+        argv = list(path)
+        for option, pool in options.items():
+            if path not in _SLOW_DEFAULTS and rng.random() < 0.15:
+                continue
+            value = rng.choice(pool)
+            if option in _TEXT_OPTIONS and rng.random() < 0.3:
+                value = _mutate(rng, value)
+            argv += value.split() if option is None else [option, value]
+        try:
+            rc = main(argv)
+        except SystemExit as exit_:
+            rc = exit_.code
+        capsys.readouterr()
+        assert rc in (0, 1, 2), argv
+        codes.add(rc)
+    assert codes == {0, 1, 2}

@@ -15,8 +15,6 @@ from ordlib.core import (
     check_bi_invariance,
     check_convex_in_ball,
     compare,
-    compose_automorphisms,
-    conjugate_ordering,
     distinguishing_witness,
     inner_automorphism,
     least_positive_in_ball,
@@ -113,19 +111,9 @@ def test_pushforward_by_swap():
 
 
 def test_conjugation_is_trivial_on_abelian():
-    conj = conjugate_ordering((2, -1), LEX)
-    assert orderings_agree_on_ball(conj, LEX, Z2, 3)
     inner = inner_automorphism(Z2, (5, 7))
     assert inner.forward((1, 2)) == (1, 2)
     assert check_bi_invariance(LEX, Z2, 3) is None
-
-
-def test_compose_automorphisms():
-    shear = matrix_automorphism(Z2, [[1, 1], [0, 1]])
-    neg = matrix_automorphism(Z2, [[-1, 0], [0, -1]])
-    both = compose_automorphisms(neg, shear)
-    assert both.forward((1, 0)) == tuple(-x for x in shear.forward((1, 0)))
-    assert both.backward(both.forward((3, -2))) == (3, -2)
 
 
 def test_power_equates():

@@ -23,7 +23,6 @@ from ordlib.extensions import (
     conjugation_preserves,
     g_group,
     g_least_positive,
-    g_not_biorderable_evidence,
     g_ordering,
     k_group,
     k_ordering,
@@ -230,13 +229,6 @@ def test_mismatched_base_is_rejected():
 def test_g_is_not_bi_orderable():
     witness = check_bi_invariance(g_ordering(), g_group(), 3)
     assert witness == (((_kq(-1, 0), 0), 0), ((_kq(-1, 0), 0), -1))
-    ev = g_not_biorderable_evidence(3)
-    assert [f.descriptor() for f in ev.eigen_a] == [
-        "flag[(√2,1)]", "flag[(-√2,-1)]"]
-    assert [f.descriptor() for f in ev.eigen_neg_a] == [
-        "flag[(-√2,1)]", "flag[(√2,-1)]"]
-    assert ev.common == ()
-    assert ev.bi_invariance_witness == witness
 
 
 def _fraction_power(c, negated):

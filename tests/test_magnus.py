@@ -1,5 +1,6 @@
 """Series orderings of free groups and the closure-dominant family."""
 
+import math
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from ordlib.core import (
 from ordlib.lospace import condition_star_check
 from ordlib.magnus import (
     closure_lex_oracle,
+    closure_lex_sign,
     closure_rewrite,
     expand_letters,
     free_automorphism,
@@ -86,9 +88,78 @@ def test_magnus_signs():
 
 def test_escalation_and_cap():
     pairs = tuple((abs(a), 1 if a > 0 else -1) for a in DEEP)
-    assert series_sign(pairs, degree=2, cap=8) == 1
+    assert series_sign(pairs, cap=8) == 1
     with pytest.raises(InconclusiveTruncationError):
-        series_sign(pairs, degree=2, cap=2)
+        series_sign(pairs, cap=2)
+
+
+def _walk(rng, length):
+    """A reduced F2 word of exactly ``length`` letters."""
+    word = []
+    while len(word) < length:
+        a = rng.choice((1, -1, 2, -2))
+        if not word or word[-1] != -a:
+            word.append(a)
+    return tuple(word)
+
+
+def _commutators(rng, count):
+    """Iterated commutators [u, v] of generators and of earlier commutators,
+    of degree at most 7 and at most 64 letters."""
+    pool = [((a,), 1) for a in (1, -1, 2, -2)]
+    out = []
+    while len(out) < count:
+        (u, du), (v, dv) = rng.choice(pool), rng.choice(pool)
+        w = F2.multiply(F2.multiply(u, v), F2.invert(F2.multiply(v, u)))
+        if w and du + dv <= 7 and len(w) <= 64:
+            pool.append((w, du + dv))
+            out.append(w)
+    return out
+
+
+def _truncation_8_sign(pairs):
+    term = expand_letters(pairs, 8).minimal_term()
+    return None if term is None else (1 if term[1] > 0 else -1)
+
+
+def test_signs_match_truncation_8():
+    # expanding at truncation 8 costs about 0.4 ms per letter past 16 letters
+    # (2-core x86-64, CPython 3.11), so most walks are short and a few reach 64
+    rng = random.Random(2016)
+    words = [_walk(rng, round(math.exp(rng.uniform(0, math.log(20)))))
+             for _ in range(1840)]
+    words += [_walk(rng, rng.randint(21, 64)) for _ in range(60)]
+    words += _commutators(rng, 100)
+    decided = 0
+    for w in words:
+        want = _truncation_8_sign(tuple((abs(a), 1 if a > 0 else -1) for a in w))
+        if want is not None:
+            decided += 1
+            assert magnus_sign(w) == want, w
+    closure = []
+    while len(closure) < 300:
+        # a product of conjugates y^i x^+-1 y^-i lies in the closure of x
+        letters = []
+        for _ in range(rng.randint(1, 8)):
+            i = rng.randint(-2, 2)
+            y = (2 if i > 0 else -2,) * abs(i)
+            letters += y + (rng.choice((1, -1)),) + F2.invert(y)
+        w = reduce_word(letters)
+        if w:
+            closure.append(w)
+    for w in closure:
+        want = _truncation_8_sign(closure_rewrite(F2, w, 1))
+        if want is not None:
+            decided += 1
+            assert closure_lex_sign(F2, w) == want, w
+    assert decided >= 2000
+
+
+@pytest.mark.parametrize("length", [2000, 10000])
+def test_long_words_get_opposite_signs(length):
+    w = _walk(random.Random(length), length)
+    assert len(w) == length
+    assert magnus_sign(w) == -magnus_sign(F2.invert(w)) != 0
 
 
 def test_series_ordering_is_bi_invariant():
@@ -141,7 +212,7 @@ def test_automorphism_helpers():
 
 def test_pushforward_descriptor_and_signs():
     pushed = act_automorphism(swap_generators(F2), MAG)
-    assert pushed.descriptor == "swap.series[deg8]"
+    assert pushed.descriptor == "swap.series[deg6]"
     assert pushed.sign((2,)) == 1
     assert pushed.sign((1, -2)) == -1
 
