@@ -250,21 +250,6 @@ def invert_generators(group: BraidGroup) -> GroupAutomorphism:
     return GroupAutomorphism(group=group, forward=fn, backward=fn, descriptor="invert-gens")
 
 
-def parabolic_strands(group: BraidGroup, word, budget: int = DEFAULT_BUDGET) -> int:
-    """Strand count of the smallest prefix parabolic subgroup containing the
-    word: the subgroup generated by the first (count - 1) generators.
-
-    Running the cascade on the flipped word finds the highest generator the
-    element genuinely needs; flipping back turns that into a prefix bound.
-    The trivial word reports 1.
-    """
-    n = group.strands
-    s, level = sign_cascade(flip_word(n, word), budget)
-    if s == 0:
-        return 1
-    return n - level + 1
-
-
 def ordering_oracle(group: BraidGroup, index: int, budget: int = DEFAULT_BUDGET) -> SignOracle:
     """The ordering whose least positive element is the generator s_index.
 

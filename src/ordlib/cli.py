@@ -491,9 +491,9 @@ def cmd_lospace_star(args) -> int:
         if len(triple) != 3:
             raise UsageError("expected --aut e,d,m")
         phi = KleinAut(*triple).to_automorphism(group)
-    witness = condition_star_check(phi, group, args.radius, args.bound)
+    witness = condition_star_check(phi, group, args.radius)
     if witness is None:
-        print(f"holds (radius {args.radius}, bound {args.bound})")
+        print(f"holds (radius {args.radius})")
     else:
         print(f"fails at {group.label(witness)}")
     return 0
@@ -657,7 +657,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probe")
     p.add_argument("--aut")
     p.add_argument("--radius", type=int, default=3)
-    p.add_argument("--bound", type=int, default=8)
     p.set_defaults(func=cmd_lospace_star)
 
     p = sub.add_parser("verify", help="run acceptance suites")

@@ -23,8 +23,6 @@ from typing import Callable, Iterable, Optional
 LT, EQ, GT = -1, 0, 1
 POSITIVE, NEGATIVE = 1, -1
 
-DEFAULT_POWER_BOUND = 8
-
 
 class BudgetExceededError(RuntimeError):
     """A rewriting budget ran out before the computation settled."""
@@ -144,6 +142,11 @@ class Group(ABC):
 
     def label(self, g) -> str:
         return str(g)
+
+    def ray(self, g):
+        """Canonical key of g's power ray: ray(x) == ray(y) exactly when
+        x^n = y^m for some n, m > 0."""
+        raise NotImplementedError(f"{self.name} has no ray key")
 
     def power(self, g, k: int):
         if k < 0:
@@ -360,49 +363,17 @@ def check_convex_in_ball(member: Callable, oracle: SignOracle, group: Group, rad
     return (ball[g_idx], ball[f_idx], ball[h_idx])
 
 
-def common_power(group: Group, x, y, bound: int) -> Optional[tuple[int, int]]:
-    """The least (n, m) in [1, bound]^2, n first, with x^n = y^m, or None."""
-    exponent = {}
-    p = y
-    for m in range(1, bound + 1):
-        exponent.setdefault(group.key(p), m)
-        p = group.multiply(p, y)
-    p = x
-    for n in range(1, bound + 1):
-        m = exponent.get(group.key(p))
-        if m is not None:
-            return (n, m)
-        p = group.multiply(p, x)
-    return None
-
-
-def power_equates(phi: GroupAutomorphism, group: Group, g, bound: int,
-                  negative: bool = False) -> Optional[tuple[int, int]]:
-    """Search n, m in [1, bound] with phi(g)^n = g^m (or g^-m if negative)."""
-    return common_power(group, phi.forward(g), group.invert(g) if negative else g, bound)
-
-
 def distinguishing_witness(phi: GroupAutomorphism, catalog: list[SignOracle],
-                           group: Group, radius: int,
-                           power_bound: int = DEFAULT_POWER_BOUND):
+                           group: Group, radius: int):
     """First (oracle, g) in catalog-then-ball order with sign(g) = + and
-    sign(phi(g)) = -, certifying that phi moves that ordering.
-
-    A bounded power check runs first: if phi(g)^n equals g^-m, any ordering
-    with g positive must push phi(g) negative, so the oracle call is skipped.
-    """
+    sign(phi(g)) = -, certifying that phi moves that ordering."""
     ball = group.ball(radius)
     ident = group.identity
-    flips = {}
     for P in catalog:
         for g in ball:
             if group.same(g, ident):
                 continue
-            if P.sign(g) != POSITIVE:
-                continue
-            if g not in flips:
-                flips[g] = power_equates(phi, group, g, power_bound, negative=True) is not None
-            if flips[g] or P.sign(phi.forward(g)) == NEGATIVE:
+            if P.sign(g) == POSITIVE and P.sign(phi.forward(g)) == NEGATIVE:
                 return (P, g)
     return None
 
@@ -421,6 +392,3 @@ def separating_element(o1, o2, group: Group, radius: int):
             return g
     return None
 
-
-def orderings_agree_on_ball(o1, o2, group: Group, radius: int) -> bool:
-    return separating_element(o1, o2, group, radius) is None

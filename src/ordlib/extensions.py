@@ -31,7 +31,7 @@ from .core import (
     SignOracle,
     least_positive_in_ball,
 )
-from .lattice import FormFlag, TotalityError
+from .lattice import FormFlag, TotalityError, vector_ray
 from .magnus import free_group
 from .quadfield import QuadRat
 
@@ -66,6 +66,11 @@ class KleinGroup(Group):
         else:
             letters = ((2 if a > 0 else 3),) * abs(a)
         return (abs(a) + abs(b), letters)
+
+    def ray(self, g):
+        # the ray of g^2, which lies in <y, x^2> = Z^2 with vector addition
+        a, b = g
+        return vector_ray((a, b) if b % 2 == 0 else (0, b))
 
     def label(self, g):
         a, b = g
@@ -268,7 +273,8 @@ class RationalPlaneGroup(Group):
 @functools.cache
 def _weighted_rationals(w: int) -> tuple:
     """All rationals of weight exactly w, i.e. |p| + q - 1 = w in lowest
-    terms."""
+    terms.  Balls ask only for weights up to their radius, so the cache
+    holds one entry per weight up to the largest radius requested."""
     if w == 0:
         return (Fraction(0),)
     out = []
@@ -358,33 +364,42 @@ def twist_automorphism(ext: ZExtensionGroup) -> GroupAutomorphism:
 HYPERBOLIC_MATRIX = ((1, 2), (1, 1))
 
 
-@functools.cache
+def _mat2_mul(m, n) -> tuple:
+    (a, b), (e, f) = m
+    (p, q), (r, s) = n
+    return ((a * p + b * r, a * q + b * s), (e * p + f * r, e * q + f * s))
+
+
+@functools.lru_cache(maxsize=1024)
 def _hyperbolic_power(c: int, negated: bool) -> tuple:
-    """The c-th power of the (negated) hyperbolic matrix, with int entries.
+    """The c-th power of the (negated) hyperbolic matrix, with int entries,
+    by repeated squaring.
 
     Both matrices have determinant -1, so every power is unimodular and its
     inverse is the integer adjugate times the determinant.
     """
-    if c == 0:
-        return ((1, 0), (0, 1))
-    if c < 0:
-        (a, b), (e, f) = _hyperbolic_power(-c, negated)
-        det = a * f - b * e
-        return ((det * f, -det * b), (-det * e, det * a))
-    (a, b), (e, f) = _hyperbolic_power(c - 1, negated)
-    (p, q), (r, s) = HYPERBOLIC_MATRIX
-    if negated:
-        p, q, r, s = -p, -q, -r, -s
-    return ((a * p + b * r, a * q + b * s), (e * p + f * r, e * q + f * s))
+    sign = -1 if negated else 1
+    square = tuple(tuple(sign * x for x in row) for row in HYPERBOLIC_MATRIX)
+    acc = ((1, 0), (0, 1))
+    k = abs(c)
+    while k:
+        if k & 1:
+            acc = _mat2_mul(acc, square)
+        k >>= 1
+        if k:
+            square = _mat2_mul(square, square)
+    if c >= 0:
+        return acc
+    (a, b), (e, f) = acc
+    det = a * f - b * e
+    return ((det * f, -det * b), (-det * e, det * a))
 
 
 @functools.lru_cache(maxsize=1024)
 def _g_plane_matrix(t: int, c: int) -> tuple:
     """B^t A^c, with B = -A: the matrix by which a left factor with K-exponent c
     and t-exponent t twists the plane part of the right factor in G."""
-    (a, b), (e, f) = _hyperbolic_power(t, True)
-    (p, q), (r, s) = _hyperbolic_power(c, False)
-    return ((a * p + b * r, a * q + b * s), (e * p + f * r, e * q + f * s))
+    return _mat2_mul(_hyperbolic_power(t, True), _hyperbolic_power(c, False))
 
 
 def _plane_add_times(u, v, mat) -> tuple:

@@ -37,6 +37,16 @@ class TotalityError(ValueError):
     to every flag vector, so the sign map is not defined everywhere."""
 
 
+def vector_ray(v) -> tuple:
+    """v divided by the absolute value of its first nonzero entry; entries
+    may be ints or Fractions.  Two nonzero vectors have positive multiples
+    in common exactly when their rays are equal."""
+    lead = next((abs(c) for c in v if c), None)
+    if lead is None:
+        return tuple(v)
+    return tuple(Fraction(c) / lead for c in v)
+
+
 class LatticeGroup(Group):
     """Z^n with elements as integer tuples and balls in the l1 norm."""
 
@@ -66,6 +76,8 @@ class LatticeGroup(Group):
 
     def label(self, g):
         return "(" + ",".join(str(c) for c in g) + ")"
+
+    ray = staticmethod(vector_ray)
 
     def _ball_elements(self, radius):
         span = range(-radius, radius + 1)

@@ -11,15 +11,14 @@ Enumeration is a small backtracking solver: one boolean per inverse pair,
 three-literal clauses from the ball's product table, unit propagation, and
 positive-first branching so the output comes back in a canonical order.
 
-Isolator membership and the power-agreement condition are bounded searches
-and say so: a failed search reports not-found-within-bound rather than a
-definitive no, except on lattice groups where parallelism decides exactly.
+Isolator membership and the power-agreement condition are exact: both
+compare the groups' ray keys, which are equal exactly when two elements
+have a common positive power.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass
 
 from .core import (
@@ -29,10 +28,8 @@ from .core import (
     IdentitySignError,
     SignOracle,
     SizeLimitError,
-    common_power,
     separating_element,
 )
-from .lattice import LatticeGroup
 
 __all__ = [
     "PartialCone",
@@ -42,20 +39,10 @@ __all__ = [
     "isolator_member",
     "isolator_dichotomy_check",
     "condition_star_check",
-    "NOT_FOUND",
 ]
 
 DEFAULT_NODE_LIMIT = 2_000_000
 MAX_BALL = 5000
-
-NOT_FOUND = "not-found-within-bound"
-
-
-def _node_limit(node_limit):
-    if node_limit is not None:
-        return node_limit
-    env = os.environ.get("ORD_MAX_NODES")
-    return int(env) if env else DEFAULT_NODE_LIMIT
 
 
 @dataclass(frozen=True)
@@ -230,21 +217,21 @@ class _ConeSearch:
 
 
 def enumerate_partial_cones(group: Group, radius: int,
-                            node_limit: int | None = None) -> list:
+                            node_limit: int = DEFAULT_NODE_LIMIT) -> list:
     """All partial cones on ball(radius), in canonical order."""
-    search = _ConeSearch(group, radius, _node_limit(node_limit))
+    search = _ConeSearch(group, radius, node_limit)
     return [search.cone(a, radius) for a in search.solutions(())]
 
 
 def extend_partial_cone(cone: PartialCone, group: Group, radius2: int,
                         max_results: int | None = None,
-                        node_limit: int | None = None) -> list:
+                        node_limit: int = DEFAULT_NODE_LIMIT) -> list:
     """All completions of the cone to ball(radius2); an empty list
     certifies that no ordering-restriction through radius2 agrees with it.
     max_results stops the search early once enough completions exist."""
     if radius2 <= cone.radius:
         raise ValueError("extension radius must exceed the cone's radius")
-    search = _ConeSearch(group, radius2, _node_limit(node_limit))
+    search = _ConeSearch(group, radius2, node_limit)
     data = group.ball_data(radius2)
     preset = []
     for g, s in cone.signs:
@@ -257,39 +244,25 @@ def extend_partial_cone(cone: PartialCone, group: Group, radius2: int,
     return [search.cone(a, radius2) for a in search.solutions(preset, max_results)]
 
 
-def isolator_member(group: Group, h, g, bound: int = 8):
-    """Is h in the isolator of <g>?
-
-    Exact on lattice groups, where membership is rational parallelism.
-    Elsewhere a bounded search for h^k landing on a power of g, reporting
-    True or not-found-within-bound.
-    """
+def isolator_member(group: Group, h, g) -> bool:
+    """Is h in the isolator of <g>, that is, is some h^n with n > 0 a power
+    of g?  Exact: h = 1, or h shares its ray with g or with g^-1."""
     if group.is_identity(g):
         raise ValueError("the isolator of the identity is not considered")
     if group.is_identity(h):
         return True
-    if isinstance(group, LatticeGroup):
-        # parallel iff every 2x2 minor of the stacked pair vanishes
-        n = group.rank
-        return all(h[i] * g[j] == h[j] * g[i]
-                   for i in range(n) for j in range(i + 1, n))
-    if (common_power(group, h, g, bound) is not None
-            or common_power(group, h, group.invert(g), bound) is not None):
-        return True
-    return NOT_FOUND
+    return group.ray(h) in (group.ray(g), group.ray(group.invert(g)))
 
 
-def isolator_dichotomy_check(group: Group, g, h, radius: int, bound: int = 8):
-    """Either the two isolators share only the identity, or their detected
+def isolator_dichotomy_check(group: Group, g, h, radius: int):
+    """Either the two isolators share only the identity, or their
     memberships agree on ball(radius); returns None, or the violating
     element."""
     if group.is_identity(g) or group.is_identity(h):
         raise ValueError("isolator arguments must be nonidentity")
     ball = [f for f in group.ball(radius) if not group.is_identity(f)]
-    in_g = {i for i, f in enumerate(ball)
-            if isolator_member(group, f, g, bound) is True}
-    in_h = {i for i, f in enumerate(ball)
-            if isolator_member(group, f, h, bound) is True}
+    in_g = {i for i, f in enumerate(ball) if isolator_member(group, f, g)}
+    in_h = {i for i, f in enumerate(ball) if isolator_member(group, f, h)}
     if not (in_g & in_h):
         return None
     for i in sorted(in_g ^ in_h):
@@ -297,10 +270,10 @@ def isolator_dichotomy_check(group: Group, g, h, radius: int, bound: int = 8):
     return None
 
 
-def condition_star_check(phi, group: Group, radius: int, bound: int = 8):
-    """Bounded check of power agreement: every g in ball(radius) needs
-    n, m in [1, bound] with phi(g)^n = g^m.  Returns None when it holds up
-    to the bound, else the first g with no solution.
+def condition_star_check(phi, group: Group, radius: int):
+    """Power agreement on ball(radius): every g needs n, m > 0 with
+    phi(g)^n = g^m, decided exactly by comparing rays.  Returns None when it
+    holds on the ball, else the first g where it fails.
 
     phi may be a GroupAutomorphism, or any callable on elements, so
     commensuration representatives that leave the group (scalar maps on a
@@ -310,6 +283,6 @@ def condition_star_check(phi, group: Group, radius: int, bound: int = 8):
     for g in group.ball(radius):
         if group.is_identity(g):
             continue
-        if common_power(group, fwd(g), g, bound) is None:
+        if group.ray(fwd(g)) != group.ray(g):
             return g
     return None

@@ -98,6 +98,20 @@ class FreeGroup(Group):
             parts.append(name if k == 1 else f"{name}^{k}")
         return " ".join(parts)
 
+    def ray(self, g):
+        """(u, p) with g = u p^k u^-1 for some k > 0, p cyclically reduced
+        and not a proper power.  Roots in a free group are unique, so this
+        pair is shared by exactly the elements with a common positive
+        power."""
+        i = 0
+        while i < len(g) - 1 - i and g[i] == -g[len(g) - 1 - i]:
+            i += 1
+        core = g[i:len(g) - i]
+        n = len(core)
+        period = next((d for d in range(1, n) if n % d == 0
+                       and core == core[:d] * (n // d)), n)
+        return (g[:i], core[:period])
+
     def exponent_sum(self, g, index: int) -> int:
         return sum(1 if a == index else -1 if a == -index else 0 for a in g)
 

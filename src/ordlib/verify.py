@@ -332,8 +332,7 @@ def suite_scalar_kernel():
         c = Fraction(p, q)
         m = ((c, 0), (0, c))
         fixed = all(preserves(m, flag) for flag in flags)
-        star = condition_star_check(
-            lambda v, c=c: tuple(c * x for x in v), z2, 4, bound=4)
+        star = condition_star_check(lambda v, c=c: tuple(c * x for x in v), z2, 4)
         ok = fixed and star is None
         facts[f"scalar[{p}/{q}]"] = "fixed" if ok else "moved"
         passed = passed and ok
@@ -343,7 +342,7 @@ def suite_scalar_kernel():
             lambda v, rows=rows: tuple(
                 sum(Fraction(v[i]) * Fraction(rows[i][j]) for i in range(2))
                 for j in range(2)),
-            z2, 3, bound=8)
+            z2, 3)
         ok = not trivial and flag is not None and star is not None
         moved = flag.descriptor() if flag is not None else "none"
         witness = str(star) if star is not None else "none"
@@ -373,7 +372,7 @@ def suite_free_probes():
     facts = {"series-bi-invariant(3)": "yes" if bi is None else "no"}
     for name, phi in probes:
         hit = distinguishing_witness(phi, catalog, f2, 3)
-        star = condition_star_check(phi, f2, 3, bound=6)
+        star = condition_star_check(phi, f2, 3)
         if hit is None:
             facts[f"{name}/witness"] = "none"
         else:

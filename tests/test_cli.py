@@ -189,7 +189,11 @@ def test_lospace_star(capsys):
     assert (rc, out) == (0, ["fails at (1,0)"])
     rc, out = run(capsys, "lospace", "star", "--group", "z2",
                   "--matrix", "[[2,0],[0,2]]")
-    assert (rc, out) == (0, ["holds (radius 3, bound 8)"])
+    assert (rc, out) == (0, ["holds (radius 3)"])
+    # v^9 = (9v)^1 is the first common power: it needs an exponent of 9
+    rc, out = run(capsys, "lospace", "star", "--group", "z2",
+                  "--matrix", "[[9,0],[0,9]]")
+    assert (rc, out) == (0, ["holds (radius 3)"])
     rc, out = run(capsys, "lospace", "star", "--group", "f2", "--probe", "swap")
     assert (rc, out) == (0, ["fails at x"])
     rc, out = run(capsys, "lospace", "star", "--group", "klein",
@@ -248,6 +252,7 @@ def test_usage_errors_exit_two(capsys, argv):
     ("free", "sign", "--word", "x", "--degree", "8"),
     ("free", "witness", "--probe", "swap", "--degree", "6"),
     ("klein", "kernel", "--m-bound", "2", "--radius", "8"),
+    ("lospace", "star", "--group", "z2", "--matrix", "[[2,0],[0,2]]", "--bound", "8"),
 ])
 def test_removed_options_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as info:
@@ -346,8 +351,7 @@ _COMMANDS = [
     (("lospace", "star"), {"--group": ["z", "z2", "z3", "klein", "f2"],
                            "--matrix": _MATRICES, "--probe": ["swap", "nope"],
                            "--aut": ["1,-1,0", "-1,1,2", "1,1", "2,1,0", "x"],
-                           "--radius": _RADII + ["6"],
-                           "--bound": ["-1", "0", "8", "50", "x"]}),
+                           "--radius": _RADII + ["6"]}),
     (("verify",), {None: ["matrix-eigen", "free-probes", "klein-kernel", "7",
                           "11", "0", "99", "nosuch", "determinism matrix-eigen"]}),
 ]

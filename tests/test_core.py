@@ -2,7 +2,6 @@
 
 import pytest
 
-from ordlib.braid import braid_group
 from ordlib.core import (
     EQ,
     GT,
@@ -18,8 +17,6 @@ from ordlib.core import (
     distinguishing_witness,
     inner_automorphism,
     least_positive_in_ball,
-    orderings_agree_on_ball,
-    power_equates,
     separating_element,
     verify_cone_axioms,
 )
@@ -104,30 +101,16 @@ def test_pushforward_by_swap():
     assert pushed.sign((0, 1)) == 1
     assert pushed.sign((0, -1)) == -1
     assert pushed.sign((-1, 5)) == 1
-    assert orderings_agree_on_ball(pushed, SWAPPED, Z2, 3)
+    assert separating_element(pushed, SWAPPED, Z2, 3) is None
     assert pushed.descriptor.endswith(LEX.descriptor)
     again = act_automorphism(phi, pushed)
-    assert orderings_agree_on_ball(again, LEX, Z2, 3)
+    assert separating_element(again, LEX, Z2, 3) is None
 
 
 def test_conjugation_is_trivial_on_abelian():
     inner = inner_automorphism(Z2, (5, 7))
     assert inner.forward((1, 2)) == (1, 2)
     assert check_bi_invariance(LEX, Z2, 3) is None
-
-
-def test_power_equates():
-    shear = matrix_automorphism(Z2, [[1, 1], [0, 1]])
-    assert power_equates(shear, Z2, (0, 1), 8) == (1, 1)
-    assert power_equates(shear, Z2, (1, 0), 8) is None
-    neg = matrix_automorphism(Z2, [[-1, 0], [0, -1]])
-    assert power_equates(neg, Z2, (1, 0), 8, negative=True) == (1, 1)
-    assert power_equates(neg, Z2, (1, 0), 8) is None
-    # conjugation by the full twist fixes s1, but spells the image differently
-    b3 = braid_group(3)
-    twist = inner_automorphism(b3, (1, 2) * 3)
-    assert twist.forward((1,)) != (1,)
-    assert power_equates(twist, b3, (1,), 8) == (1, 1)
 
 
 def test_distinguishing_witness():

@@ -1,16 +1,18 @@
-"""Partial-cone enumeration checked against brute force, plus the bounded
-isolator and power-agreement searches."""
+"""Partial-cone enumeration checked against brute force, plus the exact
+isolator and power-agreement checks, whose ray keys are compared with a
+bounded power search."""
 
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
 from ordlib.braid import braid_group, dehornoy_oracle
 from ordlib.core import IdentitySignError, SizeLimitError
 from ordlib.extensions import KleinAut, klein_group, klein_orderings
-from ordlib.lattice import lattice_group
+from ordlib.lattice import lattice_group, mat_from_rows, row_times_mat
 from ordlib.lospace import (
-    NOT_FOUND,
     PartialCone,
     condition_star_check,
     enumerate_partial_cones,
@@ -23,6 +25,7 @@ from ordlib.magnus import free_group, swap_generators
 Z = lattice_group(1)
 Z2 = lattice_group(2)
 KLEIN = klein_group()
+F2 = free_group(2)
 
 
 def _brute_force_cones(group, radius):
@@ -101,13 +104,9 @@ def test_partial_cone_signs_any_spelling():
     assert cone.sign((2, 1, 2)) == cone.sign((1, 2, 1)) == 1
 
 
-def test_node_limit_and_ball_cap(monkeypatch):
+def test_node_limit_and_ball_cap():
     with pytest.raises(SizeLimitError):
         enumerate_partial_cones(free_group(2), 2, node_limit=3)
-    monkeypatch.setenv("ORD_MAX_NODES", "3")
-    with pytest.raises(SizeLimitError):
-        enumerate_partial_cones(free_group(2), 2)
-    monkeypatch.delenv("ORD_MAX_NODES")
     with pytest.raises(SizeLimitError):
         enumerate_partial_cones(Z2, 50)
 
@@ -118,7 +117,10 @@ def test_isolator_membership():
     assert isolator_member(Z2, (1, 0), (0, 1)) is False
     assert isolator_member(Z2, (0, 0), (0, 1)) is True
     assert isolator_member(KLEIN, (3, 0), (1, 0)) is True
-    assert isolator_member(KLEIN, (0, 2), (1, 0)) == NOT_FOUND
+    assert isolator_member(KLEIN, (0, 2), (1, 0)) is False
+    # x^18 = (x^2)^9 is the first common power: it needs an exponent of 9
+    assert isolator_member(F2, (1,) * 9, (1, 1)) is True
+    assert isolator_member(F2, (1, 2), (2, 1)) is False
     with pytest.raises(ValueError):
         isolator_member(Z2, (1, 0), (0, 0))
 
@@ -140,5 +142,57 @@ def test_power_agreement_probe():
     assert condition_star_check(shear, Z2, 3) == (0, 1)
     flip = KleinAut(1, -1, 0).to_automorphism(KLEIN)
     assert condition_star_check(flip, KLEIN, 3) == (1, 0)
-    F2 = free_group(2)
-    assert condition_star_check(swap_generators(F2), F2, 2, bound=6) == (1,)
+    assert condition_star_check(swap_generators(F2), F2, 2) == (1,)
+    # scalar 9 needs an exponent of 9; scalar 1/2 has Fraction images
+    for c in (1, 9, Fraction(1, 2)):
+        scalar = mat_from_rows([[c, 0], [0, c]])
+        assert condition_star_check(lambda v: row_times_mat(v, scalar), Z2, 3) is None
+
+
+def _powers(group, g, bound=12):
+    """Keys of g, g^2, ..., g^bound: x^n = y^m for some n, m in [1, bound]
+    exactly when the sets of x and y meet."""
+    keys, p = set(), g
+    for _ in range(bound):
+        keys.add(group.key(p))
+        p = group.multiply(p, g)
+    return keys
+
+
+@pytest.mark.parametrize("group", [F2, Z2, KLEIN], ids=["F2", "Z2", "Klein"])
+def test_rays_match_bounded_power_search(group):
+    ball = [g for g in group.ball(4) if not group.is_identity(g)]
+    rays = [group.ray(g) for g in ball]
+    powers = [_powers(group, g) for g in ball]
+    agree = 0
+    for x, rx, px in zip(ball, rays, powers):
+        for y, ry, py in zip(ball, rays, powers):
+            assert (rx == ry) == (not px.isdisjoint(py)), (x, y)
+            agree += rx == ry
+    assert agree > len(ball)
+
+
+def test_free_rays_of_seeded_conjugates():
+    """u p^a u^-1 against u' q^b u'^-1 for short random u, u', p, q, with q
+    often p, a power of p, or p^-1."""
+    rng = random.Random(7)
+    words = [g for g in F2.ball(3) if g]
+    conj = lambda u, p, k: F2.multiply(F2.multiply(u, F2.power(p, k)), F2.invert(u))
+    for _ in range(500):
+        u, p = rng.choice(words), rng.choice(words)
+        u2 = u if rng.random() < 0.7 else rng.choice(words)
+        q = rng.choice([p, F2.power(p, 2), F2.invert(p), rng.choice(words)])
+        x, y = conj(u, p, rng.randint(1, 4)), conj(u2, q, rng.randint(1, 4))
+        shared = not _powers(F2, x).isdisjoint(_powers(F2, y))
+        assert (F2.ray(x) == F2.ray(y)) == shared, (x, y)
+
+
+def test_free_ray_of_a_long_conjugate():
+    u = (1, 2) * 501 + (1,)
+    p = (2, 2) + (1, 2) * 570
+    w = F2.multiply(F2.multiply(u, F2.power(p, 7)), F2.invert(u))
+    assert len(w) == 10_000
+    assert F2.ray(w) == (u, p)
+    assert F2.ray(w) == F2.ray(F2.multiply(F2.multiply(u, p), F2.invert(u)))
+    assert F2.ray(F2.invert(w)) == (u, F2.invert(p))
+    assert isolator_member(F2, F2.invert(w), w) is True
