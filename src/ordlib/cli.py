@@ -291,7 +291,7 @@ def cmd_klein_orderings(args) -> int:
     for oracle in klein_orderings(group):
         signs = " ".join(
             f"{group.label(g)}:{SIGN_CHARS[oracle.sign(g)]}"
-            for g in group.ball(args.radius) if g != group.identity)
+            for g in group.ball(args.radius)[1:])
         print(f"{oracle.descriptor} {signs}")
     return 0
 

@@ -6,16 +6,19 @@ positives closed under multiplication.  ``g < h`` means ``sign(g^-1 h) = +1``.
 All checks here are desk scale: they quantify over finite balls that every
 concrete group exposes.
 
-Ball conventions.  ``ball(r)`` always contains the identity, is closed under
-inversion, and is nested in ``ball(r+1)``.  Elements are listed in canonical
-order: sorted by (length, letter key) where positive letters precede negative
-ones and lower generator indices come first.  Witness searches walk that order,
-so results are deterministic.
+Ball conventions.  ``ball(r)`` is closed under inversion and nested in
+``ball(r+1)``.  Elements are listed in canonical order: sorted by (length,
+letter key) where positive letters precede negative ones and lower generator
+indices come first.  The identity is the only element of length 0, so element
+0 is always the identity and no other element is; scans over the nonidentity
+elements walk ``ball(r)[1:]``.  Witness searches walk that order, so results
+are deterministic.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
@@ -56,7 +59,8 @@ class BallData:
     """A ball with its membership index and a lazily built product table.
 
     ``pos`` maps each element's key to its index, so any representative of
-    a ball element is found in one lookup.
+    a ball element is found in one lookup.  Element 0 must be the identity,
+    and no other element may be.
     """
 
     def __init__(self, group: "Group", radius: int, elements: list):
@@ -64,7 +68,10 @@ class BallData:
         self.radius = radius
         self.elements = elements
         self.pos = {group.key(g): i for i, g in enumerate(elements)}
-        self.identity_index = self.pos[group.key(group.identity)]
+        if self.pos.get(group.key(group.identity)) != 0:
+            raise ValueError(
+                f"ball({radius}) of {group.name} does not list the identity "
+                "first and only there")
         self._inverse: list[int] | None = None
         self._products: list[list[int]] | None = None
 
@@ -148,16 +155,15 @@ class Group(ABC):
         x^n = y^m for some n, m > 0."""
         raise NotImplementedError(f"{self.name} has no ray key")
 
-    def power(self, g, k: int):
-        if k < 0:
-            return self.power(self.invert(g), -k)
-        acc = self.identity
-        for _ in range(k):
-            acc = self.multiply(acc, g)
-        return acc
-
     def ball(self, radius: int) -> list:
         return self.ball_data(radius).elements
+
+    def ball_exceeds(self, radius: int, cap: int) -> bool:
+        """Does ball(radius) hold more than cap elements?  A ball not built
+        yet is counted only up to cap + 1 elements, and not built."""
+        if radius in self._balls:
+            return len(self._balls[radius].elements) > cap
+        return sum(1 for _ in itertools.islice(self._ball_elements(radius), cap + 1)) > cap
 
     def ball_data(self, radius: int) -> BallData:
         if radius < 0:
@@ -170,7 +176,11 @@ class Group(ABC):
 
 @dataclass(frozen=True)
 class SignOracle:
-    """A total, computable positive cone on a group."""
+    """A total, computable positive cone on a group.
+
+    ``fn`` returns +1 or -1 on every nonidentity element and 0 exactly at
+    the identity; ``sign`` is ``fn`` with the identity refused.
+    """
 
     group: Group
     fn: Callable
@@ -243,9 +253,7 @@ def verify_cone_axioms(oracle: SignOracle, group: Group, radius: int,
     """
     violations = []
     positives = []
-    for g in group.ball(radius):
-        if group.is_identity(g):
-            continue
+    for g in group.ball(radius)[1:]:
         s = oracle.sign(g)
         if oracle.fn(group.invert(g)) != -s:
             violations.append(("inverse-sign", (g,)))
@@ -274,19 +282,11 @@ def act_automorphism(phi: GroupAutomorphism, oracle: SignOracle) -> SignOracle:
 def check_bi_invariance(oracle: SignOracle, group: Group, radius: int):
     """None if conjugation preserves signs on the ball, else the first (g, p)
     in canonical order with sign(p) = + and sign(g p g^-1) = -."""
-    ball = group.ball(radius)
-    ident = group.identity
-    psigns = {}
-    for p in ball:
-        if not group.same(p, ident):
-            psigns[p] = oracle.sign(p)
+    ball = group.ball(radius)[1:]
+    positives = [p for p in ball if oracle.sign(p) == POSITIVE]
     for g in ball:
-        if group.same(g, ident):
-            continue
         ginv = group.invert(g)
-        for p in ball:
-            if group.same(p, ident) or psigns[p] != POSITIVE:
-                continue
+        for p in positives:
             conj = group.multiply(group.multiply(g, p), ginv)
             if oracle.sign(conj) == NEGATIVE:
                 return (g, p)
@@ -295,10 +295,9 @@ def check_bi_invariance(oracle: SignOracle, group: Group, radius: int):
 
 def least_positive_in_ball(oracle: SignOracle, group: Group, radius: int):
     """The minimum, under the ordering, of the positive elements of the ball."""
-    ident = group.identity
     best = None
-    for g in group.ball(radius):
-        if group.same(g, ident) or oracle.sign(g) != POSITIVE:
+    for g in group.ball(radius)[1:]:
+        if oracle.sign(g) != POSITIVE:
             continue
         if best is None or compare(oracle, g, best) == LT:
             best = g
@@ -311,11 +310,8 @@ def certify_least_positive(oracle: SignOracle, group: Group, radius: int, candid
     """True iff candidate is positive and <= every positive element of the ball."""
     if oracle.sign(candidate) != POSITIVE:
         return False
-    ident = group.identity
-    for g in group.ball(radius):
-        if group.same(g, ident) or oracle.sign(g) != POSITIVE:
-            continue
-        if compare(oracle, candidate, g) == GT:
+    for g in group.ball(radius)[1:]:
+        if oracle.sign(g) == POSITIVE and compare(oracle, candidate, g) == GT:
             return False
     return True
 
@@ -330,7 +326,7 @@ def check_convex_in_ball(member: Callable, oracle: SignOracle, group: Group, rad
     ball = group.ball(radius)
     data = group.ball_data(radius)
     flags = [bool(member(g)) for g in ball]
-    if not flags[data.identity_index]:
+    if not flags[0]:
         raise ValueError("subgroup predicate rejects the identity")
     inv = data.inverse_index()
     for i, g in enumerate(ball):
@@ -367,12 +363,9 @@ def distinguishing_witness(phi: GroupAutomorphism, catalog: list[SignOracle],
                            group: Group, radius: int):
     """First (oracle, g) in catalog-then-ball order with sign(g) = + and
     sign(phi(g)) = -, certifying that phi moves that ordering."""
-    ball = group.ball(radius)
-    ident = group.identity
+    ball = group.ball(radius)[1:]
     for P in catalog:
         for g in ball:
-            if group.same(g, ident):
-                continue
             if P.sign(g) == POSITIVE and P.sign(phi.forward(g)) == NEGATIVE:
                 return (P, g)
     return None
@@ -384,10 +377,7 @@ def separating_element(o1, o2, group: Group, radius: int):
     Accepts anything with a ``sign`` method defined on the ball, so partial
     cones work as well as full oracles.
     """
-    ident = group.identity
-    for g in group.ball(radius):
-        if group.same(g, ident):
-            continue
+    for g in group.ball(radius)[1:]:
         if o1.sign(g) != o2.sign(g):
             return g
     return None

@@ -22,11 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
-    NEGATIVE,
-    POSITIVE,
     Group,
     GroupAutomorphism,
-    IdentitySignError,
     RefusedConstructionError,
     SignOracle,
     least_positive_in_ball,
@@ -116,25 +113,23 @@ KLEIN_PARAMS = tuple(KleinOrderingParams(s, t)
                      for s, t in ((1, 1), (1, -1), (-1, 1), (-1, -1)))
 
 
+def _int_sign(n: int) -> int:
+    return (n > 0) - (n < 0)
+
+
 def klein_sign(params: KleinOrderingParams, g) -> int:
     """Sign of y^a x^b: a nonzero x-exponent decides through s, and inside
-    the kernel the y-exponent decides through t."""
+    the kernel the y-exponent decides through t; 0 at the identity."""
     a, b = g
-    if b:
-        return POSITIVE if params.s * b > 0 else NEGATIVE
-    if a:
-        return POSITIVE if params.t * a > 0 else NEGATIVE
-    raise IdentitySignError("the identity has no sign")
+    return _int_sign(params.s * b) or _int_sign(params.t * a)
 
 
 def klein_ordering(params: KleinOrderingParams,
                    group: KleinGroup | None = None) -> SignOracle:
     if group is None:
         group = klein_group()
-    return SignOracle(
-        group=group,
-        fn=lambda g: 0 if g == (0, 0) else klein_sign(params, g),
-        descriptor=params.descriptor())
+    return SignOracle(group=group, fn=functools.partial(klein_sign, params),
+                      descriptor=params.descriptor())
 
 
 def klein_orderings(group: KleinGroup | None = None) -> list:
@@ -244,9 +239,6 @@ class RationalPlaneGroup(Group):
     def identity(self):
         return _PLANE_ZERO
 
-    def is_identity(self, g) -> bool:
-        return not g[0] and not g[1]
-
     def multiply(self, g, h):
         return (g[0] + h[0], g[1] + h[1])
 
@@ -293,34 +285,22 @@ def rational_plane() -> RationalPlaneGroup:
 
 class ZExtensionGroup(Group):
     """A split extension base x| Z; elements are pairs (b, c), and moving
-    the Z letter past a base element applies the twist c times."""
+    the Z letter c times past a base element applies twist_power(c), the
+    c-th power of the twist, to it."""
 
-    def __init__(self, base: Group, twist, twist_inv, name: str, twist_power=None):
+    def __init__(self, base: Group, twist_power, name: str):
         super().__init__()
         self.base = base
-        self.twist = twist
-        self.twist_inv = twist_inv
+        self.twist_power = twist_power
         self.name = name
-        self._twist_power = twist_power
         self._identity = (base.identity, 0)
 
     @property
     def identity(self):
         return self._identity
 
-    def is_identity(self, g) -> bool:
-        # the Z exponent is a plain int: test it before the base part
-        return g[1] == 0 and self.base.is_identity(g[0])
-
     def twist_apply(self, c: int, b):
-        if c == 0:
-            return b
-        if self._twist_power is not None:
-            return self._twist_power(c)(b)
-        f = self.twist if c > 0 else self.twist_inv
-        for _ in range(abs(c)):
-            b = f(b)
-        return b
+        return self.twist_power(c)(b) if c else b
 
     def multiply(self, g, h):
         (b1, c1), (b2, c2) = g, h
@@ -356,8 +336,8 @@ class ZExtensionGroup(Group):
 
 def twist_automorphism(ext: ZExtensionGroup) -> GroupAutomorphism:
     """Conjugation by the positive Z letter, restricted to the base."""
-    return GroupAutomorphism(group=ext.base, forward=ext.twist,
-                             backward=ext.twist_inv,
+    return GroupAutomorphism(group=ext.base, forward=ext.twist_power(1),
+                             backward=ext.twist_power(-1),
                              descriptor=f"twist[{ext.name}]")
 
 
@@ -443,8 +423,7 @@ class _GGroup(ZExtensionGroup):
 def k_group() -> ZExtensionGroup:
     """K = Q^2 x| Z: the Z letter acts on row vectors by the fixed
     hyperbolic matrix."""
-    power = _plane_matrix_power(False)
-    return _KGroup(rational_plane(), power(1), power(-1), "K", twist_power=power)
+    return _KGroup(rational_plane(), _plane_matrix_power(False), "K")
 
 
 @functools.cache
@@ -457,7 +436,7 @@ def g_group() -> ZExtensionGroup:
         f = plane_power(m)
         return lambda g: (f(g[0]), g[1])
 
-    return _GGroup(k_group(), power(1), power(-1), "G", twist_power=power)
+    return _GGroup(k_group(), power, "G")
 
 
 @functools.cache
@@ -469,14 +448,13 @@ def k_eigen_flag() -> FormFlag:
 
 def k_ordering_sign(u: FormFlag, g) -> int:
     """Quotient-dominant sign on K: the Z exponent decides, and the plane
-    part is read through the form flag when it is zero."""
+    part is read through the form flag when it is zero; 0 at the
+    identity."""
     v, c = g
     if c:
-        return POSITIVE if c > 0 else NEGATIVE
-    s = u.form_sign(v)
-    if s == 0:
-        raise IdentitySignError("the identity has no sign")
-    return s
+        return _int_sign(c)
+    # the zero test spares form_sign's denominator clearing at the identity
+    return u.form_sign(v) if any(v) else 0
 
 
 def k_ordering(u: FormFlag, group: ZExtensionGroup | None = None) -> SignOracle:
@@ -484,21 +462,15 @@ def k_ordering(u: FormFlag, group: ZExtensionGroup | None = None) -> SignOracle:
         group = k_group()
     if not u.is_total():
         raise TotalityError(f"{u.descriptor()} is not total")
-
-    def fn(g):
-        return 0 if group.is_identity(g) else k_ordering_sign(u, g)
-
-    return SignOracle(group=group, fn=fn, descriptor=f"k-lex[{u.descriptor()}]")
+    return SignOracle(group=group, fn=functools.partial(k_ordering_sign, u),
+                      descriptor=f"k-lex[{u.descriptor()}]")
 
 
 def conjugation_preserves(pk: SignOracle, t_action: GroupAutomorphism,
                           radius: int):
     """None when the action fixes every sign on ball(radius) of the base;
     otherwise the first flipped element in canonical order."""
-    group = pk.group
-    for g in group.ball(radius):
-        if group.is_identity(g):
-            continue
+    for g in pk.group.ball(radius)[1:]:
         if pk.sign(t_action.forward(g)) != pk.sign(g):
             return g
     return None
@@ -506,13 +478,10 @@ def conjugation_preserves(pk: SignOracle, t_action: GroupAutomorphism,
 
 def lex_extension_sign(pk: SignOracle, g) -> int:
     """Kernel-dominant sign on base x| Z: a nontrivial base part decides,
-    and pure powers of the new letter take the sign of the exponent."""
+    and pure powers of the new letter take the sign of the exponent; 0 at
+    the identity."""
     b, n = g
-    if not pk.group.is_identity(b):
-        return pk.sign(b)
-    if n:
-        return POSITIVE if n > 0 else NEGATIVE
-    raise IdentitySignError("the identity has no sign")
+    return pk.fn(b) or _int_sign(n)
 
 
 TWIST_CHECK_RADIUS = 6
@@ -534,11 +503,8 @@ def lex_extension(pk: SignOracle, ext: ZExtensionGroup) -> SignOracle:
         raise RefusedConstructionError(
             f"conjugation by the Z letter moves {ext.base.label(witness)} "
             "across the cone", witness=witness)
-
-    def fn(g):
-        return 0 if ext.is_identity(g) else lex_extension_sign(pk, g)
-
-    return SignOracle(group=ext, fn=fn, descriptor=f"lex[{pk.descriptor}]")
+    return SignOracle(group=ext, fn=functools.partial(lex_extension_sign, pk),
+                      descriptor=f"lex[{pk.descriptor}]")
 
 
 @functools.cache
@@ -553,7 +519,11 @@ def klein_as_extension() -> ZExtensionGroup:
     letter inverts y; ordering it kernel-first is impossible, and
     lex_extension refuses with witness y."""
     base = free_group(1, ("y",))
-    return ZExtensionGroup(base, base.invert, base.invert, "Klein-ext")
+
+    def power(c: int):
+        return base.invert if c % 2 else (lambda b: b)
+
+    return ZExtensionGroup(base, power, "Klein-ext")
 
 
 def g_least_positive(radius: int = 3):

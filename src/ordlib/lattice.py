@@ -22,7 +22,6 @@ ball(WITNESS_RADIUS).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -80,10 +79,15 @@ class LatticeGroup(Group):
     ray = staticmethod(vector_ray)
 
     def _ball_elements(self, radius):
-        span = range(-radius, radius + 1)
-        for v in itertools.product(span, repeat=self.rank):
-            if sum(abs(c) for c in v) <= radius:
-                yield v
+        # walk the l1 ball coordinate by coordinate, never the enclosing cube
+        def walk(rank, budget):
+            if rank == 0:
+                yield ()
+                return
+            for c in range(-budget, budget + 1):
+                for rest in walk(rank - 1, budget - abs(c)):
+                    yield (c,) + rest
+        return walk(self.rank, radius)
 
 
 @functools.cache
@@ -372,8 +376,8 @@ def vlo_equal(f1: FormFlag, f2: FormFlag, basis1=None,
                 if b is not None]
     if f1.canonical == f2.canonical:
         return (True, None)
-    for v in lattice_group(f1.rank).ball(WITNESS_RADIUS):
-        if any(v) and f1.form_sign(v) != f2.form_sign(v) and all(
+    for v in lattice_group(f1.rank).ball(WITNESS_RADIUS)[1:]:
+        if f1.form_sign(v) != f2.form_sign(v) and all(
                 x.denominator == 1 for inv in inverses for x in row_times_mat(v, inv)):
             return (False, v)
     return (False, None)

@@ -79,8 +79,7 @@ class PartialCone:
 
     @classmethod
     def from_oracle(cls, oracle: SignOracle, group: Group, radius: int) -> "PartialCone":
-        signs = tuple((g, oracle.sign(g)) for g in group.ball(radius)
-                      if not group.is_identity(g))
+        signs = tuple((g, oracle.sign(g)) for g in group.ball(radius)[1:])
         return cls(group, radius, signs)
 
     def serialize(self) -> str:
@@ -90,25 +89,24 @@ class PartialCone:
 
 
 class _ConeSearch:
-    """Clause solver over inverse-pair variables for one ball."""
+    """Clause solver over inverse-pair variables for one ball.  Element 0 is
+    the identity, so every index loop starts at 1."""
 
     def __init__(self, group: Group, radius: int, node_limit: int):
+        if group.ball_exceeds(radius, MAX_BALL):
+            raise SizeLimitError(
+                f"ball({radius}) of {group.name} has more than {MAX_BALL} elements")
         data = group.ball_data(radius)
         elems = data.elements
-        if len(elems) > MAX_BALL:
-            raise SizeLimitError(
-                f"ball({radius}) of {group.name} has {len(elems)} elements")
         self.group = group
         self.elements = elems
-        self.identity = data.identity_index
         inv = data.inverse_index()
-        self.impossible = any(
-            inv[i] == i for i in range(len(elems)) if i != self.identity)
+        self.impossible = any(inv[i] == i for i in range(1, len(elems)))
         # element index -> signed 1-based variable literal meaning "positive"
         self.lit_of = {}
         self.reps = []
-        for i in range(len(elems)):
-            if i == self.identity or i in self.lit_of:
+        for i in range(1, len(elems)):
+            if i in self.lit_of:
                 continue
             v = len(self.reps) + 1
             self.lit_of[i] = v
@@ -128,16 +126,13 @@ class _ConeSearch:
         # positives g, h with gh in the ball force gh positive:
         # (not g+) or (not h+) or (gh)+
         table = data.product_table()
-        ident = self.identity
         out = set()
-        for i in range(len(self.elements)):
-            if i == ident:
-                continue
+        for i in range(1, len(self.elements)):
             row = table[i]
             li = self.lit_of[i]
-            for j in range(len(self.elements)):
+            for j in range(1, len(self.elements)):
                 k = row[j]
-                if j == ident or k < 0 or k == ident:
+                if k <= 0:
                     continue
                 clause = (-li, -self.lit_of[j], self.lit_of[k])
                 if len({abs(x) for x in clause}) < 3:
@@ -207,12 +202,10 @@ class _ConeSearch:
 
     def cone(self, assignment: tuple, radius: int) -> PartialCone:
         signs = []
-        for i, g in enumerate(self.elements):
-            if i == self.identity:
-                continue
+        for i in range(1, len(self.elements)):
             lit = self.lit_of[i]
             val = assignment[abs(lit) - 1]
-            signs.append((g, val if lit > 0 else -val))
+            signs.append((self.elements[i], val if lit > 0 else -val))
         return PartialCone(self.group, radius, tuple(signs))
 
 
@@ -260,7 +253,7 @@ def isolator_dichotomy_check(group: Group, g, h, radius: int):
     element."""
     if group.is_identity(g) or group.is_identity(h):
         raise ValueError("isolator arguments must be nonidentity")
-    ball = [f for f in group.ball(radius) if not group.is_identity(f)]
+    ball = group.ball(radius)[1:]
     in_g = {i for i, f in enumerate(ball) if isolator_member(group, f, g)}
     in_h = {i for i, f in enumerate(ball) if isolator_member(group, f, h)}
     if not (in_g & in_h):
@@ -280,9 +273,7 @@ def condition_star_check(phi, group: Group, radius: int):
     lattice) probe as well.
     """
     fwd = getattr(phi, "forward", phi)
-    for g in group.ball(radius):
-        if group.is_identity(g):
-            continue
+    for g in group.ball(radius)[1:]:
         if group.ray(fwd(g)) != group.ray(g):
             return g
     return None

@@ -289,6 +289,23 @@ def test_negative_radius_is_a_usage_error(argv):
     assert proc.stdout == "usage error: radius must be non-negative\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("lospace", "enum", "--group", "klein", "--radius", "100000"),
+    ("lospace", "enum", "--group", "f2", "--radius", "13"),
+    ("lospace", "enum", "--group", "z3", "--radius", "200"),
+    ("lospace", "enum", "--group", "z3", "--radius", "1000000"),
+    ("lospace", "extend", "--group", "z2", "--radius", "2", "--radius2", "5000"),
+])
+def test_oversized_cone_balls_are_refused_before_they_are_built(argv):
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "ordlib.cli", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 2.0
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert proc.stdout.startswith("error: SizeLimitError: ")
+
+
 # Values the argv fuzz draws from: valid ones, malformed ones, and values
 # that once crashed or stalled the command (huge exponents and fields, long
 # words, negative radii).  Radii stay small where a ball grows fast.

@@ -1,11 +1,15 @@
 """Cone axioms, comparisons, and witness searches on small balls."""
 
+import itertools
+
 import pytest
 
+from ordlib.braid import braid_group
 from ordlib.core import (
     EQ,
     GT,
     LT,
+    BallData,
     IdentitySignError,
     NoPositiveError,
     SignOracle,
@@ -20,7 +24,9 @@ from ordlib.core import (
     separating_element,
     verify_cone_axioms,
 )
-from ordlib.lattice import flag_ordering, lattice_group, matrix_automorphism
+from ordlib.extensions import g_group, k_group, klein_group, rational_plane
+from ordlib.lattice import LatticeGroup, flag_ordering, lattice_group, matrix_automorphism
+from ordlib.magnus import free_group
 
 Z2 = lattice_group(2)
 LEX = flag_ordering(Z2, [(1, 0), (0, 1)])
@@ -36,6 +42,61 @@ def test_ball_conventions():
     assert set(Z2.ball(1)) <= set(ball)
     assert {Z2.invert(g) for g in ball} == set(ball)
     assert ball == sorted(ball, key=Z2.sort_key)
+
+
+@pytest.mark.parametrize("group", [
+    lattice_group(1), lattice_group(2), lattice_group(3), klein_group(),
+    free_group(1, ("y",)), free_group(2), braid_group(3), braid_group(4),
+    rational_plane(), k_group(), g_group(),
+], ids=lambda g: g.name)
+def test_every_ball_lists_the_identity_first_and_only_there(group):
+    ident = group.key(group.identity)
+    for r in range(4):
+        ball = group.ball(r)
+        assert [i for i, g in enumerate(ball) if group.key(g) == ident] == [0]
+
+
+class _IdentityLastLine(LatticeGroup):
+    """Z with a sort key that puts the identity last."""
+
+    def sort_key(self, g):
+        return (-abs(g[0]), g)
+
+
+class _IdentityTwiceLine(LatticeGroup):
+    """Z whose ball lists the identity twice."""
+
+    def _ball_elements(self, radius):
+        yield (0,)
+        yield from super()._ball_elements(radius)
+
+
+@pytest.mark.parametrize("toy", [_IdentityLastLine, _IdentityTwiceLine])
+def test_ball_data_rejects_a_misplaced_identity(toy):
+    group = toy(1)
+    with pytest.raises(ValueError, match="identity first"):
+        group.ball(1)
+    elements = sorted(group._ball_elements(1), key=group.sort_key)
+    with pytest.raises(ValueError, match="identity first"):
+        BallData(group, 1, elements)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_lattice_balls_walk_the_l1_ball(rank):
+    for r in range(5):
+        walked = list(LatticeGroup(rank)._ball_elements(r))
+        cube = itertools.product(range(-r, r + 1), repeat=rank)
+        assert len(walked) == len(set(walked))
+        assert set(walked) == {v for v in cube if sum(map(abs, v)) <= r}
+
+
+def test_ball_exceeds_counts_without_building():
+    group = LatticeGroup(3)
+    assert group.ball_exceeds(10**6, 5000)
+    assert not group.ball_exceeds(3, 63) and group.ball_exceeds(3, 62)
+    assert group._balls == {}
+    group.ball(3)
+    assert not group.ball_exceeds(3, 63) and group.ball_exceeds(3, 62)
 
 
 def test_sign_at_identity_raises():

@@ -1,5 +1,6 @@
 """Klein bottle orderings, the automorphism family, and the two towers."""
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -35,7 +36,9 @@ from ordlib.extensions import (
     klein_orderings,
     klein_sign,
     lex_extension,
+    lex_extension_sign,
     k_eigen_flag,
+    k_ordering_sign,
     rational_plane,
     twist_automorphism,
     ZExtensionGroup,
@@ -87,8 +90,7 @@ def test_klein_signs():
     assert klein_sign(pp, (-1, 1)) == 1
     assert klein_sign(KleinOrderingParams(1, -1), Y) == -1
     assert klein_sign(KleinOrderingParams(-1, 1), X) == -1
-    with pytest.raises(IdentitySignError):
-        klein_sign(pp, (0, 0))
+    assert klein_sign(pp, (0, 0)) == 0
     with pytest.raises(ValueError):
         KleinOrderingParams(2, 1)
 
@@ -218,6 +220,42 @@ def test_klein_as_extension_is_refused():
         lex_extension(magnus_oracle(base), klein_as_extension())
     assert info.value.witness == (1,)
     assert "moves y across" in str(info.value)
+
+
+def test_klein_extension_multiplies_like_klein():
+    """(y^a, b) in <y> x| Z is y^a x^b: the twist inverts y for odd b."""
+    ext = klein_as_extension()
+    lift = lambda g: ((1,) * g[0] if g[0] > 0 else (-1,) * -g[0], g[1])
+    ball = KLEIN.ball(3)
+    for g, h in itertools.product(ball, repeat=2):
+        assert ext.multiply(lift(g), lift(h)) == lift(KLEIN.multiply(g, h))
+        assert ext.invert(lift(g)) == lift(KLEIN.invert(g))
+
+
+def test_twist_automorphism_is_the_unit_twist_power():
+    for ext in (k_group(), g_group()):
+        phi = twist_automorphism(ext)
+        for b in ext.base.ball(2):
+            assert phi.forward(b) == ext.twist_apply(1, b)
+            assert phi.backward(phi.forward(b)) == b
+
+
+def test_sign_functions_are_zero_exactly_at_the_identity():
+    """The sign functions return 0 at the identity; only the oracle's
+    ``sign`` refuses it."""
+    flag = k_eigen_flag()
+    pk = k_ordering(flag)
+    cases = [(KLEIN, functools.partial(klein_sign, p), klein_ordering(p))
+             for p in KLEIN_PARAMS]
+    cases.append((k_group(), functools.partial(k_ordering_sign, flag), pk))
+    cases.append((g_group(), functools.partial(lex_extension_sign, pk), g_ordering()))
+    for group, fn, oracle in cases:
+        assert fn(group.identity) == 0
+        assert oracle.fn(group.identity) == 0
+        with pytest.raises(IdentitySignError):
+            oracle.sign(group.identity)
+        for g in group.ball(2)[1:]:
+            assert fn(g) == oracle.sign(g) != 0
 
 
 def test_mismatched_base_is_rejected():

@@ -20,7 +20,7 @@ from ordlib.lospace import (
     isolator_dichotomy_check,
     isolator_member,
 )
-from ordlib.magnus import free_group, swap_generators
+from ordlib.magnus import free_group, reduce_word, swap_generators
 
 Z = lattice_group(1)
 Z2 = lattice_group(2)
@@ -177,11 +177,11 @@ def test_free_rays_of_seeded_conjugates():
     often p, a power of p, or p^-1."""
     rng = random.Random(7)
     words = [g for g in F2.ball(3) if g]
-    conj = lambda u, p, k: F2.multiply(F2.multiply(u, F2.power(p, k)), F2.invert(u))
+    conj = lambda u, p, k: F2.multiply(F2.multiply(u, reduce_word(p * k)), F2.invert(u))
     for _ in range(500):
         u, p = rng.choice(words), rng.choice(words)
         u2 = u if rng.random() < 0.7 else rng.choice(words)
-        q = rng.choice([p, F2.power(p, 2), F2.invert(p), rng.choice(words)])
+        q = rng.choice([p, reduce_word(p * 2), F2.invert(p), rng.choice(words)])
         x, y = conj(u, p, rng.randint(1, 4)), conj(u2, q, rng.randint(1, 4))
         shared = not _powers(F2, x).isdisjoint(_powers(F2, y))
         assert (F2.ray(x) == F2.ray(y)) == shared, (x, y)
@@ -190,7 +190,7 @@ def test_free_rays_of_seeded_conjugates():
 def test_free_ray_of_a_long_conjugate():
     u = (1, 2) * 501 + (1,)
     p = (2, 2) + (1, 2) * 570
-    w = F2.multiply(F2.multiply(u, F2.power(p, 7)), F2.invert(u))
+    w = F2.multiply(F2.multiply(u, reduce_word(p * 7)), F2.invert(u))
     assert len(w) == 10_000
     assert F2.ray(w) == (u, p)
     assert F2.ray(w) == F2.ray(F2.multiply(F2.multiply(u, p), F2.invert(u)))
