@@ -70,6 +70,7 @@ from .lattice import (
     vlo_equal,
 )
 from .lospace import (
+    check_ball_size,
     condition_star_check,
     enumerate_partial_cones,
     extend_partial_cone,
@@ -98,6 +99,10 @@ COMPUTE_ERRORS = (
 
 SIGN_CHARS = {1: "+", -1: "-", 0: "0"}
 MAX_FIELD_D = 10**9
+# a braid key holds 2 * strands integers and free-group names are built per
+# generator, so both are bounded before any group is made
+MAX_STRANDS = 1000
+MAX_RANK = 1000
 
 
 class UsageError(ValueError):
@@ -124,6 +129,16 @@ def _non_negative(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
     return value
+
+
+def _int_between(low: int, high: int):
+    def parse(text: str) -> int:
+        value = _int_arg(text)
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(
+                f"must be between {low} and {high}, got {value}")
+        return value
+    return parse
 
 
 def _field_d(text: str) -> int:
@@ -282,12 +297,14 @@ def cmd_braid_reduce(args) -> int:
 def cmd_braid_least(args) -> int:
     group = braid_group(args.strands)
     oracle = _braid_oracle(group, args.ordering, args.budget)
+    check_ball_size(group, args.radius)
     print(group.label(least_positive_in_ball(oracle, group, args.radius)))
     return 0
 
 
 def cmd_klein_orderings(args) -> int:
     group = klein_group()
+    check_ball_size(group, args.radius)
     for oracle in klein_orderings(group):
         signs = " ".join(
             f"{group.label(g)}:{SIGN_CHARS[oracle.sign(g)]}"
@@ -394,6 +411,7 @@ FREE_PROBES = {
 
 def cmd_free_witness(args) -> int:
     group = free_group(2)
+    check_ball_size(group, args.radius)
     phi = FREE_PROBES[args.probe](group)
     series = magnus_oracle(group)
     catalog = [series]
@@ -422,12 +440,14 @@ def cmd_ext_build(args) -> int:
 
 
 def cmd_ext_verify(args) -> int:
+    check_ball_size(g_group(), args.radius)
     report = verify_cone_axioms(g_ordering(), g_group(), args.radius)
     print("pass" if report.passed else f"fail: {report}")
     return 0 if report.passed else 1
 
 
 def cmd_ext_least(args) -> int:
+    check_ball_size(g_group(), args.radius)
     print(g_group().label(g_least_positive(args.radius)))
     return 0
 
@@ -461,6 +481,7 @@ def cmd_lospace_separate(args) -> int:
     group = klein_group()
     first = klein_ordering(_klein_params(args.first), group)
     second = klein_ordering(_klein_params(args.second), group)
+    check_ball_size(group, args.radius)
     g = separating_element(first, second, group, args.radius)
     print(group.label(g) if g is not None else "none")
     return 0
@@ -491,6 +512,7 @@ def cmd_lospace_star(args) -> int:
         if len(triple) != 3:
             raise UsageError("expected --aut e,d,m")
         phi = KleinAut(*triple).to_automorphism(group)
+    check_ball_size(group, args.radius)
     witness = condition_star_check(phi, group, args.radius)
     if witness is None:
         print(f"holds (radius {args.radius})")
@@ -543,14 +565,14 @@ def build_parser() -> argparse.ArgumentParser:
     braid = sub.add_parser("braid", help="braid group orderings").add_subparsers(
         dest="command", required=True)
     p = braid.add_parser("sign", help="sign of a word")
-    p.add_argument("--strands", type=int, required=True)
+    p.add_argument("--strands", type=_int_between(2, MAX_STRANDS), required=True)
     p.add_argument("--word", required=True)
     p.add_argument("--ordering", default="dehornoy")
     p.add_argument("--budget", type=_non_negative, default=DEFAULT_BUDGET,
                    help="bound on Dynnikov letter steps per sign")
     p.set_defaults(func=cmd_braid_sign)
     p = braid.add_parser("compare", help="compare two words")
-    p.add_argument("--strands", type=int, required=True)
+    p.add_argument("--strands", type=_int_between(2, MAX_STRANDS), required=True)
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--ordering", default="dehornoy")
@@ -558,13 +580,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bound on Dynnikov letter steps per sign")
     p.set_defaults(func=cmd_braid_compare)
     p = braid.add_parser("reduce", help="reduce the handles of a word")
-    p.add_argument("--strands", type=int, required=True)
+    p.add_argument("--strands", type=_int_between(2, MAX_STRANDS), required=True)
     p.add_argument("--word", required=True)
     p.add_argument("--budget", type=_non_negative, default=DEFAULT_BUDGET,
                    help="bound on handle reductions")
     p.set_defaults(func=cmd_braid_reduce)
     p = braid.add_parser("least", help="least positive element of a ball")
-    p.add_argument("--strands", type=int, required=True)
+    p.add_argument("--strands", type=_int_between(2, MAX_STRANDS), required=True)
     p.add_argument("--radius", type=int, default=3)
     p.add_argument("--ordering", default="dehornoy")
     p.add_argument("--budget", type=_non_negative, default=DEFAULT_BUDGET,
@@ -611,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="command", required=True)
     p = free.add_parser("sign", help="sign of a word")
     p.add_argument("--word", required=True)
-    p.add_argument("--rank", type=int, default=2)
+    p.add_argument("--rank", type=_int_between(1, MAX_RANK), default=2)
     p.add_argument("--ordering", default="series")
     p.set_defaults(func=cmd_free_sign)
     p = free.add_parser("witness", help="ordering moved by an automorphism")

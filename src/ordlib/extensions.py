@@ -324,14 +324,17 @@ class ZExtensionGroup(Group):
 
     def _ball_elements(self, radius):
         # twisting can push an inverse past the weight bound, so the
-        # weight-graded set is symmetrized to stay inverse-closed
+        # weight-graded set is symmetrized to stay inverse-closed.  The base
+        # balls are walked, not built, and |c| grows from 0, so counting a
+        # huge ball stops among small twists without building anything.
         seen = set()
-        for c in range(-radius, radius + 1):
-            for b in self.base.ball(radius - abs(c)):
-                for g in ((b, c), self.invert((b, c))):
-                    if g not in seen:
-                        seen.add(g)
-                        yield g
+        for m in range(radius + 1):
+            for c in ((m, -m) if m else (0,)):
+                for b in self.base._ball_elements(radius - m):
+                    for g in ((b, c), self.invert((b, c))):
+                        if g not in seen:
+                            seen.add(g)
+                            yield g
 
 
 def twist_automorphism(ext: ZExtensionGroup) -> GroupAutomorphism:

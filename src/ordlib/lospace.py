@@ -5,7 +5,9 @@ that inverses get opposite signs and products of positives landing inside
 the ball are positive.  Restrictions of genuine orderings are partial
 cones; enumerating all of them and searching for extensions to larger
 balls gives desk-scale evidence about the full ordering space, such as the
-Klein group's four orderings exhausting what radius-6 data allows.
+Klein group's four orderings exhausting what radius-6 data allows.  A cone
+is stored as one sign per element of ``ball(radius)[1:]``, in canonical
+ball order; the ball's key index says which element each sign belongs to.
 
 Enumeration is a small backtracking solver: one boolean per inverse pair,
 three-literal clauses from the ball's product table, unit propagation, and
@@ -18,12 +20,9 @@ have a common positive power.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .core import (
-    NEGATIVE,
-    POSITIVE,
     Group,
     IdentitySignError,
     SignOracle,
@@ -33,6 +32,7 @@ from .core import (
 
 __all__ = [
     "PartialCone",
+    "check_ball_size",
     "enumerate_partial_cones",
     "extend_partial_cone",
     "separating_element",
@@ -45,47 +45,49 @@ DEFAULT_NODE_LIMIT = 2_000_000
 MAX_BALL = 5000
 
 
+def check_ball_size(group: Group, radius: int) -> None:
+    """Refuse ball(radius) when it holds more than MAX_BALL elements, after
+    counting at most MAX_BALL + 1 of them and building none."""
+    if group.ball_exceeds(radius, MAX_BALL):
+        raise SizeLimitError(
+            f"ball({radius}) of {group.name} has more than {MAX_BALL} elements")
+
+
 @dataclass(frozen=True)
 class PartialCone:
-    """A consistent sign assignment on ball(radius) minus the identity,
-    stored as (element, sign) pairs in canonical ball order."""
+    """A consistent sign assignment on ball(radius) minus the identity:
+    ``signs`` holds one +1 or -1 per element of ``group.ball(radius)[1:]``,
+    in canonical ball order, and the ball's key index names the elements."""
 
     group: Group
     radius: int
     signs: tuple
 
-    @functools.cached_property
-    def _by_key(self) -> dict:
-        key = self.group.key
-        return {key(g): s for g, s in self.signs}
-
     def sign(self, g) -> int:
-        s = self._by_key.get(self.group.key(g))
-        if s is None:
-            if self.group.is_identity(g):
-                raise IdentitySignError("the identity has no sign")
+        i = self.group.ball_data(self.radius).index_of(g)
+        if i is None:
             raise KeyError(f"{self.group.label(g)} is outside the cone's ball")
-        return s
+        if i == 0:
+            raise IdentitySignError("the identity has no sign")
+        return self.signs[i - 1]
 
     def elements(self) -> tuple:
-        return tuple(g for g, _ in self.signs)
+        return tuple(self.group.ball(self.radius)[1:])
 
     def restricted(self, radius: int) -> "PartialCone":
         if radius > self.radius:
             raise ValueError("restriction radius exceeds the cone's radius")
-        inner = set(self.group.ball(radius))
-        kept = tuple((g, s) for g, s in self.signs if g in inner)
-        return PartialCone(self.group, radius, kept)
+        return PartialCone(self.group, radius,
+                           tuple(self.sign(g) for g in self.group.ball(radius)[1:]))
 
     @classmethod
     def from_oracle(cls, oracle: SignOracle, group: Group, radius: int) -> "PartialCone":
-        signs = tuple((g, oracle.sign(g)) for g in group.ball(radius)[1:])
-        return cls(group, radius, signs)
+        return cls(group, radius, tuple(oracle.sign(g) for g in group.ball(radius)[1:]))
 
     def serialize(self) -> str:
         return "\n".join(
             "{}:{}".format(self.group.label(g), "+" if s > 0 else "-")
-            for g, s in self.signs)
+            for g, s in zip(self.elements(), self.signs))
 
 
 class _ConeSearch:
@@ -93,24 +95,21 @@ class _ConeSearch:
     the identity, so every index loop starts at 1."""
 
     def __init__(self, group: Group, radius: int, node_limit: int):
-        if group.ball_exceeds(radius, MAX_BALL):
-            raise SizeLimitError(
-                f"ball({radius}) of {group.name} has more than {MAX_BALL} elements")
+        check_ball_size(group, radius)
         data = group.ball_data(radius)
         elems = data.elements
         self.group = group
-        self.elements = elems
         inv = data.inverse_index()
         self.impossible = any(inv[i] == i for i in range(1, len(elems)))
-        # element index -> signed 1-based variable literal meaning "positive"
-        self.lit_of = {}
+        # lit[i]: signed 1-based variable literal meaning "element i is positive"
+        self.lit = [0] * len(elems)
         self.reps = []
         for i in range(1, len(elems)):
-            if i in self.lit_of:
+            if self.lit[i]:
                 continue
             v = len(self.reps) + 1
-            self.lit_of[i] = v
-            self.lit_of[inv[i]] = -v
+            self.lit[i] = v
+            self.lit[inv[i]] = -v
             self.reps.append(i)
         self.clauses = self._build_clauses(data)
         self.adj = [[] for _ in range(len(self.reps))]
@@ -126,20 +125,18 @@ class _ConeSearch:
         # positives g, h with gh in the ball force gh positive:
         # (not g+) or (not h+) or (gh)+
         table = data.product_table()
+        lit = self.lit
         out = set()
-        for i in range(1, len(self.elements)):
+        for i in range(1, len(lit)):
             row = table[i]
-            li = self.lit_of[i]
-            for j in range(1, len(self.elements)):
+            li = lit[i]
+            for j in range(1, len(lit)):
                 k = row[j]
                 if k <= 0:
                     continue
-                clause = (-li, -self.lit_of[j], self.lit_of[k])
-                if len({abs(x) for x in clause}) < 3:
-                    seen = set(clause)
-                    if any(-x in seen for x in clause):
-                        continue
-                out.add(tuple(sorted(set(clause))))
+                clause = {-li, -lit[j], lit[k]}
+                if not any(-x in clause for x in clause):
+                    out.add(tuple(sorted(clause)))
         return sorted(out)
 
     def _propagate(self, pending: list) -> bool:
@@ -201,11 +198,8 @@ class _ConeSearch:
                 return
 
     def cone(self, assignment: tuple, radius: int) -> PartialCone:
-        signs = []
-        for i in range(1, len(self.elements)):
-            lit = self.lit_of[i]
-            val = assignment[abs(lit) - 1]
-            signs.append((self.elements[i], val if lit > 0 else -val))
+        signs = [assignment[v - 1] if v > 0 else -assignment[-v - 1]
+                 for v in self.lit[1:]]
         return PartialCone(self.group, radius, tuple(signs))
 
 
@@ -224,15 +218,17 @@ def extend_partial_cone(cone: PartialCone, group: Group, radius2: int,
     max_results stops the search early once enough completions exist."""
     if radius2 <= cone.radius:
         raise ValueError("extension radius must exceed the cone's radius")
+    if max_results is not None and max_results < 1:
+        raise ValueError(f"max_results must be at least 1, got {max_results}")
     search = _ConeSearch(group, radius2, node_limit)
     data = group.ball_data(radius2)
     preset = []
-    for g, s in cone.signs:
+    for g, s in zip(cone.elements(), cone.signs):
         idx = data.index_of(g)
         if idx is None:
             raise ValueError(
                 f"cone element {group.label(g)} is missing from ball({radius2})")
-        lit = search.lit_of[idx]
+        lit = search.lit[idx]
         preset.append((abs(lit) - 1, s if lit > 0 else -s))
     return [search.cone(a, radius2) for a in search.solutions(preset, max_results)]
 

@@ -1,6 +1,7 @@
 """End-to-end runs of the command tree against frozen text output."""
 
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -239,6 +240,14 @@ def test_verify_single_suite(capsys):
     ("free", "sign", "--word", "x^600000 y^600000"),
     # 10**18 - 11 is prime: trial division would run for minutes
     ("abelian", "eigen", "--matrix", "[[1,2],[1,1]]", "--d", str(10**18 - 11)),
+    ("lospace", "extend", "--group", "z2", "--radius", "1", "--radius2", "2",
+     "--max-results", "0"),
+    ("lospace", "extend", "--group", "z2", "--radius", "1", "--radius2", "2",
+     "--max-results", "-3"),
+    ("braid", "reduce", "--strands", "1", "--word", ""),
+    ("braid", "least", "--strands", "1001", "--radius", "1"),
+    ("free", "sign", "--word", "x", "--rank", "0"),
+    ("free", "sign", "--word", "x", "--rank", "1001"),
 ])
 def test_usage_errors_exit_two(capsys, argv):
     start = time.perf_counter()
@@ -269,6 +278,46 @@ def test_computational_errors_exit_one(capsys):
     rc, out = run(capsys, "lospace", "enum", "--group", "z2", "--radius", "50")
     assert rc == 1
     assert out[0].startswith("error: SizeLimitError: ")
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("braid", "least", "--strands", "4", "--radius", "6"), 1),
+    (("braid", "least", "--strands", "1000", "--radius", "2"), 1),
+    (("klein", "orderings", "--radius", "100000"), 1),
+    (("free", "witness", "--probe", "swap", "--radius", "40"), 1),
+    (("ext", "verify", "--radius", "3000"), 1),
+    (("ext", "least", "--radius", "400"), 1),
+    (("ext", "least", "--radius", "100000000"), 1),
+    (("lospace", "separate", "--group", "klein", "--first", "++", "--second", "++",
+      "--radius", "3000"), 1),
+    (("lospace", "star", "--group", "z3", "--matrix", "[[2,0,0],[0,2,0],[0,0,2]]",
+      "--radius", "1000"), 1),
+    (("lospace", "star", "--group", "f2", "--probe", "swap", "--radius", "40"), 1),
+    (("lospace", "star", "--group", "klein", "--aut", "1,-1,0",
+      "--radius", "100000"), 1),
+    (("free", "sign", "--word", "x", "--rank", "100000000"), 2),
+    (("braid", "least", "--strands", "100000", "--radius", "1"), 2),
+    (("braid", "sign", "--strands", "100000", "--word", "1"), 2),
+    (("lospace", "extend", "--group", "z2", "--radius", "1", "--radius2", "2",
+      "--max-results", "0"), 2),
+])
+def test_refusals_are_quick_under_an_address_space_limit(argv, code):
+    """Oversized balls, strand counts and ranks, and a result cap below 1,
+    are refused before any large structure is built: under a 2 GB
+    address-space limit each run ends within 2 s with an error line."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "ordlib.cli", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=_limit_address_space)
+    assert time.perf_counter() - start < 2.0
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stdout + proc.stderr
+    prefix = "error: SizeLimitError: " if code == 1 else "usage error: "
+    assert proc.stdout.startswith(prefix)
 
 
 def test_repeated_runs_print_identical_text(capsys):
@@ -308,7 +357,9 @@ def test_oversized_cone_balls_are_refused_before_they_are_built(argv):
 
 # Values the argv fuzz draws from: valid ones, malformed ones, and values
 # that once crashed or stalled the command (huge exponents and fields, long
-# words, negative radii).  Radii stay small where a ball grows fast.
+# words, negative radii, oversized radii, strand counts and ranks).  Radii
+# that build a ball stay small where it grows fast; the oversized ones are
+# refused before any ball is built.
 _WORDS = ["x y x^-1 y^-1", "xyX", "x^-1 y", "1 2 -1", "", "1", "q", "x^",
           "x^99999999999", "x^1000001", "3 1", "0", "y^-3 x^2 y^3",
           " ".join(["x y"] * 400), "x*y", "x^-0"]
@@ -326,21 +377,25 @@ _D = ["2", "3", "5", "1", "0", "-7", "4", str(10**18 - 11), "1000000007", "x"]
 _RADII = ["-3", "-1", "0", "1", "2", "3", "x", ""]
 _INTS = ["-2", "0", "1", "2", "3", "x"]
 _SIGNS = ["1", "-1", "0", "2", "x"]
+_HUGE_RADII = ["400", "3000", "100000000"]
+_HUGE_STRANDS = ["1001", "100000"]
 
 _COMMANDS = [
-    (("braid", "sign"), {"--strands": ["2", "3", "4", "0", "x"],
+    (("braid", "sign"), {"--strands": ["2", "3", "4", "0", "x"] + _HUGE_STRANDS,
                          "--word": _BRAID_WORDS,
                          "--ordering": ["dehornoy", "flip", "1", "2", "9", "x"],
                          "--budget": ["0", "-5", "100", "x"]}),
-    (("braid", "compare"), {"--strands": ["3", "4", "1"], "--left": _BRAID_WORDS,
+    (("braid", "compare"), {"--strands": ["3", "4", "1"] + _HUGE_STRANDS,
+                            "--left": _BRAID_WORDS,
                             "--right": _BRAID_WORDS,
                             "--ordering": ["dehornoy", "flip", "2"]}),
-    (("braid", "reduce"), {"--strands": ["3", "4", "-1"], "--word": _BRAID_WORDS,
+    (("braid", "reduce"), {"--strands": ["3", "4", "-1"] + _HUGE_STRANDS,
+                           "--word": _BRAID_WORDS,
                            "--budget": ["0", "5", "-5"]}),
-    (("braid", "least"), {"--strands": ["2", "3", "4", "1"],
-                          "--radius": _RADII + ["4", "6"],
+    (("braid", "least"), {"--strands": ["2", "3", "4", "1"] + _HUGE_STRANDS,
+                          "--radius": _RADII + ["4", "6"] + _HUGE_RADII,
                           "--ordering": ["dehornoy", "flip", "1", "3"]}),
-    (("klein", "orderings"), {"--radius": _RADII + ["6"]}),
+    (("klein", "orderings"), {"--radius": _RADII + ["6"] + _HUGE_RADII}),
     (("klein", "kernel"), {"--m-bound": ["-1", "0", "1", "3", "50", "x"]}),
     (("klein", "witness"), {"--eps": _SIGNS, "--delta": _SIGNS, "--m": _INTS}),
     (("abelian", "sign"), {"--flag": _FLAGS, "--vector": _VECTORS, "--d": _D}),
@@ -349,26 +404,28 @@ _COMMANDS = [
     (("abelian", "vlo"), {"--first": _FLAGS, "--second": _FLAGS,
                           "--basis1": _MATRICES, "--basis2": _MATRICES,
                           "--d": _D}),
-    (("free", "sign"), {"--word": _WORDS, "--rank": ["1", "2", "3", "0", "x"],
+    (("free", "sign"), {"--word": _WORDS,
+                        "--rank": ["1", "2", "3", "0", "x", "1001", "100000000"],
                         "--ordering": ["series", "nclex-x", "nclex-y", "nope"]}),
     (("free", "witness"), {"--probe": ["swap", "invert", "shear", "inner", "nope"],
-                           "--radius": _RADII}),
+                           "--radius": _RADII + _HUGE_RADII}),
     (("ext", "build"), {"--target": ["g", "klein", "x"]}),
-    (("ext", "verify"), {"--radius": _RADII[:6]}),
-    (("ext", "least"), {"--radius": _RADII + ["6"]}),
+    (("ext", "verify"), {"--radius": _RADII[:6] + _HUGE_RADII}),
+    (("ext", "least"), {"--radius": _RADII + ["6"] + _HUGE_RADII}),
     (("lospace", "enum"), {"--group": ["z", "z2", "z3", "klein", "f2", "nope"],
-                           "--radius": _RADII[:5]}),
+                           "--radius": _RADII[:5] + _HUGE_RADII}),
     (("lospace", "extend"), {"--group": ["z", "z2", "klein", "f2"],
-                             "--radius": _RADII[:5], "--radius2": _RADII[:6],
+                             "--radius": _RADII[:5],
+                             "--radius2": _RADII[:6] + _HUGE_RADII,
                              "--index": _INTS, "--max-results": _INTS}),
     (("lospace", "separate"), {"--group": ["klein", "z2"],
                                "--first": ["++", "+-", "pm", "mm", "zz", ""],
                                "--second": ["++", "-+", "mp", "x"],
-                               "--radius": _RADII + ["6"]}),
+                               "--radius": _RADII + ["6"] + _HUGE_RADII}),
     (("lospace", "star"), {"--group": ["z", "z2", "z3", "klein", "f2"],
                            "--matrix": _MATRICES, "--probe": ["swap", "nope"],
                            "--aut": ["1,-1,0", "-1,1,2", "1,1", "2,1,0", "x"],
-                           "--radius": _RADII + ["6"]}),
+                           "--radius": _RADII + ["6"] + _HUGE_RADII}),
     (("verify",), {None: ["matrix-eigen", "free-probes", "klein-kernel", "7",
                           "11", "0", "99", "nosuch", "determinism matrix-eigen"]}),
 ]
@@ -393,9 +450,9 @@ def _mutate(rng, text):
 
 
 def test_argv_fuzz_keeps_the_exit_contract(capsys):
-    """Seeded argv mutations over every subcommand: each run ends in exit
-    code 0, 1 or 2, and only argparse's own usage exit (SystemExit 2) may
-    leave main; any other exception fails the test."""
+    """Seeded argv mutations over every subcommand: each run ends within
+    2 s in exit code 0, 1 or 2, and only argparse's own usage exit
+    (SystemExit 2) may leave main; any other exception fails the test."""
     rng = random.Random(6)
     codes = set()
     for _ in range(400):
@@ -408,11 +465,13 @@ def test_argv_fuzz_keeps_the_exit_contract(capsys):
             if option in _TEXT_OPTIONS and rng.random() < 0.3:
                 value = _mutate(rng, value)
             argv += value.split() if option is None else [option, value]
+        start = time.perf_counter()
         try:
             rc = main(argv)
         except SystemExit as exit_:
             rc = exit_.code
         capsys.readouterr()
         assert rc in (0, 1, 2), argv
+        assert time.perf_counter() - start < 2.0, argv
         codes.add(rc)
     assert codes == {0, 1, 2}

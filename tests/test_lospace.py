@@ -30,7 +30,7 @@ F2 = free_group(2)
 
 def _brute_force_cones(group, radius):
     """Every sign assignment on inverse pairs that closes under products
-    staying in the ball."""
+    staying in the ball, as a tuple of signs in ball order."""
     ball = group.ball(radius)
     nonid = [g for g in ball if not group.is_identity(g)]
     reps, seen = [], set()
@@ -51,7 +51,7 @@ def _brute_force_cones(group, radius):
                for g in positives for h in positives
                if group.multiply(g, h) in inside
                and not group.is_identity(group.multiply(g, h))):
-            cones.append(tuple((g, sign[g]) for g in nonid))
+            cones.append(tuple(sign[g] for g in nonid))
     return cones
 
 
@@ -102,6 +102,32 @@ def test_partial_cone_signs_any_spelling():
     b3 = braid_group(3)
     cone = PartialCone.from_oracle(dehornoy_oracle(b3), b3, 3)
     assert cone.sign((2, 1, 2)) == cone.sign((1, 2, 1)) == 1
+
+
+def test_braid_cone_restricts_and_extends_by_key():
+    b3 = braid_group(3)
+    oracle = dehornoy_oracle(b3)
+    cone = PartialCone.from_oracle(oracle, b3, 3)
+    inner = cone.restricted(2)
+    assert inner.signs == PartialCone.from_oracle(oracle, b3, 2).signs
+    assert len(cone.signs) == len(b3.ball(3)) - 1
+    # s2 s1 s2 s1^-1 = s1 s2 lies in ball(2); s1 s2 s1 s2^-1 = s2 s1 too
+    for c in (cone, inner):
+        assert c.sign((2, 1, 2, -1)) == c.sign((1, 2)) == oracle.sign((1, 2))
+        assert c.sign((1, 2, 1, -2)) == c.sign((2, 1)) == oracle.sign((2, 1))
+        assert c.sign((1, -1, 2)) == c.sign((2,)) == 1
+    completions = extend_partial_cone(inner, b3, 3)
+    assert cone.signs in [c.signs for c in completions]
+    for c in completions:
+        assert c.restricted(2).signs == inner.signs
+
+
+@pytest.mark.parametrize("max_results", [0, -3])
+def test_extension_needs_a_positive_result_cap(max_results):
+    cone = enumerate_partial_cones(Z2, 1)[0]
+    with pytest.raises(ValueError, match="max_results must be at least 1"):
+        extend_partial_cone(cone, Z2, 2, max_results=max_results)
+    assert len(extend_partial_cone(cone, Z2, 2, max_results=1)) == 1
 
 
 def test_node_limit_and_ball_cap():
