@@ -25,11 +25,10 @@ the coordinates, which the battery and the tests check them against.
 from __future__ import annotations
 
 import functools
-import itertools
 from collections import deque
 
-from .core import BudgetExceededError, Group, GroupAutomorphism, SignOracle
-from .magnus import reduce_word, word_sort_key
+from .core import BudgetExceededError, GroupAutomorphism, SignOracle
+from .magnus import WordGroup, reduce_word
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -155,73 +154,21 @@ def dynnikov_coordinates(n: int, word) -> tuple:
     return tuple(c)
 
 
-class BraidGroup(Group):
-    """The braid group on n strands; elements are freely reduced words,
-    keyed by their Dynnikov coordinates.  Ball elements carry their least
-    geodesic word.
+class BraidGroup(WordGroup):
+    """The braid group on n strands; elements are freely reduced words in
+    s1, ..., s(n-1), keyed by their Dynnikov coordinates.  Ball elements
+    carry their least geodesic word.
     """
 
-    sort_key = staticmethod(word_sort_key)
-
     def __init__(self, strands: int):
-        super().__init__()
         if strands < 2:
             raise ValueError("need at least 2 strands")
+        super().__init__(tuple(f"s{i}" for i in range(1, strands)))
         self.strands = strands
         self.name = f"B{strands}"
 
-    @property
-    def identity(self):
-        return ()
-
-    def multiply(self, g, h):
-        return reduce_word(itertools.chain(g, h))
-
-    def invert(self, g):
-        return tuple(-a for a in reversed(g))
-
-    def generator(self, index: int) -> tuple:
-        if not 1 <= index < self.strands:
-            raise ValueError(f"generator index out of range: {index}")
-        return (index,)
-
     def key(self, g) -> tuple:
         return dynnikov_coordinates(self.strands, g)
-
-    def label(self, g):
-        if not g:
-            return "1"
-        parts = []
-        for a, run in itertools.groupby(g):
-            k = sum(1 for _ in run) * (1 if a > 0 else -1)
-            parts.append(f"s{abs(a)}" if k == 1 else f"s{abs(a)}^{k}")
-        return " ".join(parts)
-
-    def _letters(self):
-        for i in range(1, self.strands):
-            yield i
-            yield -i
-
-    def _ball_elements(self, radius):
-        # BFS by length; scanning parents and letters in canonical order
-        # makes the first word reaching an element its least geodesic.
-        seen = {self.key(())}
-        level = [()]
-        yield ()
-        for _ in range(radius):
-            grown = []
-            for w in level:
-                for a in self._letters():
-                    if w and w[-1] == -a:
-                        continue
-                    c = w + (a,)
-                    k = self.key(c)
-                    if k in seen:
-                        continue
-                    seen.add(k)
-                    grown.append(c)
-                    yield c
-            level = grown
 
 
 @functools.cache

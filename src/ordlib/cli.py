@@ -103,6 +103,8 @@ MAX_FIELD_D = 10**9
 # generator, so both are bounded before any group is made
 MAX_STRANDS = 1000
 MAX_RANK = 1000
+# klein kernel builds 4 (2m + 1) automorphisms
+MAX_M_BOUND = 10**4
 
 
 class UsageError(ValueError):
@@ -599,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=int, default=1)
     p.set_defaults(func=cmd_klein_orderings)
     p = klein.add_parser("kernel", help="automorphisms fixing all orderings")
-    p.add_argument("--m-bound", type=int, required=True)
+    p.add_argument("--m-bound", type=_int_between(1, MAX_M_BOUND), required=True)
     p.set_defaults(func=cmd_klein_kernel)
     p = klein.add_parser("witness", help="first ordering an automorphism moves")
     p.add_argument("--eps", type=int, required=True)

@@ -6,13 +6,18 @@ positives closed under multiplication.  ``g < h`` means ``sign(g^-1 h) = +1``.
 All checks here are desk scale: they quantify over finite balls that every
 concrete group exposes.
 
-Ball conventions.  ``ball(r)`` is closed under inversion and nested in
-``ball(r+1)``.  Elements are listed in canonical order: sorted by (length,
-letter key) where positive letters precede negative ones and lower generator
-indices come first.  The identity is the only element of length 0, so element
-0 is always the identity and no other element is; scans over the nonidentity
-elements walk ``ball(r)[1:]``.  Witness searches walk that order, so results
-are deterministic.
+Ball conventions.  By default ``ball(r)`` is the word-metric ball of the
+group's ``generators``, walked breadth first, each generator followed by its
+inverse, and deduplicated by key; on word groups each element keeps the
+first word that reaches it, its least geodesic.  Groups that are not
+finitely generated, or whose balls are graded otherwise, walk their own.
+``ball(r)`` is closed under inversion and nested in ``ball(r+1)``.  Elements
+are listed in canonical order: sorted by (length, letter key) where positive
+letters precede negative ones and lower generator indices come first.  The
+identity is the only element of length 0, so element 0 is always the
+identity and no other element is; scans over the nonidentity elements walk
+``ball(r)[1:]``.  Witness searches walk that order, so results are
+deterministic.
 """
 
 from __future__ import annotations
@@ -113,6 +118,7 @@ class Group(ABC):
     """
 
     name: str = "group"
+    generators: tuple = ()  # their word-metric balls are the default balls
 
     @property
     @abstractmethod
@@ -131,9 +137,26 @@ class Group(ABC):
     def sort_key(self, g) -> tuple:
         """Canonical order key: (length, letter key), deterministic."""
 
-    @abstractmethod
     def _ball_elements(self, radius: int) -> Iterable:
-        """All elements of ball(radius), deduplicated, any order."""
+        """All elements of ball(radius), deduplicated, any order; by
+        default the word-metric ball of ``generators``, yielded lazily."""
+        if not self.generators:
+            raise NotImplementedError(f"{self.name} lists no generators and walks no ball")
+        letters = [x for g in self.generators for x in (g, self.invert(g))]
+        seen = {self.key(self.identity)}
+        level = [self.identity]
+        yield self.identity
+        for _ in range(radius):
+            grown = []
+            for w in level:
+                for a in letters:
+                    c = self.multiply(w, a)
+                    k = self.key(c)
+                    if k not in seen:
+                        seen.add(k)
+                        grown.append(c)
+                        yield c
+            level = grown
 
     def __init__(self):
         self._balls: dict[int, BallData] = {}

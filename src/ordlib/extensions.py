@@ -39,6 +39,8 @@ class KleinGroup(Group):
     the sign of a."""
 
     name = "Klein"
+    # x and y; y^a x^b has word length |a| + |b|
+    generators = ((0, 1), (1, 0))
 
     @property
     def identity(self):
@@ -79,12 +81,6 @@ class KleinGroup(Group):
         if b:
             parts.append("x" if b == 1 else f"x^{b}")
         return " ".join(parts)
-
-    def _ball_elements(self, radius):
-        for a in range(-radius, radius + 1):
-            rest = radius - abs(a)
-            for b in range(-rest, rest + 1):
-                yield (a, b)
 
 
 @functools.cache

@@ -47,7 +47,8 @@ def vector_ray(v) -> tuple:
 
 
 class LatticeGroup(Group):
-    """Z^n with elements as integer tuples and balls in the l1 norm."""
+    """Z^n with elements as integer tuples; the unit vectors generate, so
+    balls are l1 balls."""
 
     def __init__(self, rank: int):
         super().__init__()
@@ -55,6 +56,7 @@ class LatticeGroup(Group):
             raise ValueError("rank must be at least 1")
         self.rank = rank
         self.name = f"Z^{rank}"
+        self.generators = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
 
     @property
     def identity(self):
@@ -77,17 +79,6 @@ class LatticeGroup(Group):
         return "(" + ",".join(str(c) for c in g) + ")"
 
     ray = staticmethod(vector_ray)
-
-    def _ball_elements(self, radius):
-        # walk the l1 ball coordinate by coordinate, never the enclosing cube
-        def walk(rank, budget):
-            if rank == 0:
-                yield ()
-                return
-            for c in range(-budget, budget + 1):
-                for rest in walk(rank - 1, budget - abs(c)):
-                    yield (c,) + rest
-        return walk(self.rank, radius)
 
 
 @functools.cache
@@ -384,6 +375,7 @@ def vlo_equal(f1: FormFlag, f2: FormFlag, basis1=None,
 
 
 ALL_ORDERINGS = "all"
+FIELD_HINT_LIMIT = 10**9
 
 
 def eigen_orderings(rows, d: int = 2):
@@ -408,11 +400,17 @@ def eigen_orderings(rows, d: int = 2):
         return []
     if disc.denominator != 1:
         raise ValueError("matrix must have integer entries")
-    root, part = _square_root_decomposition(int(disc))
-    if part == 1:
+    disc = int(disc)
+    if math.isqrt(disc) ** 2 == disc:
         raise UnsupportedFieldError(
             "eigenvalues are rational; no irrational one-vector flag is preserved")
-    if part != d:
+    # disc = d root^2 exactly when the eigenvalues lie in Q(sqrt d)
+    root = math.isqrt(disc // d)
+    if disc != d * root * root:
+        # naming the field takes trial division up to sqrt(disc)
+        if disc > FIELD_HINT_LIMIT:
+            raise UnsupportedFieldError(f"eigenvalues lie outside Q(sqrt {d})")
+        part = _square_free_part(disc)
         raise UnsupportedFieldError(
             f"eigenvalues live in Q(sqrt {part}); construct the flag with d={part}")
     flags = []
@@ -424,16 +422,6 @@ def eigen_orderings(rows, d: int = 2):
         flags.append(FormFlag.of([u], d))
         flags.append(FormFlag.of([tuple(-x for x in u)], d))
     return flags
-
-
-def _square_root_decomposition(value: int) -> tuple[int, int]:
-    """value = root^2 * part with part square free; value must be positive."""
-    part = _square_free_part(value)
-    root = 1
-    rest = value // part
-    while root * root < rest:
-        root += 1
-    return root, part
 
 
 def _eigenvector(m, lam: QuadRat, d: int) -> tuple:

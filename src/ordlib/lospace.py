@@ -43,6 +43,9 @@ __all__ = [
 
 DEFAULT_NODE_LIMIT = 2_000_000
 MAX_BALL = 5000
+# a cone search first builds the ball's n^2 product table, so its ball is
+# capped at 10^6 cells
+MAX_CONE_BALL = 1000
 
 
 def check_ball_size(group: Group, radius: int) -> None:
@@ -95,7 +98,10 @@ class _ConeSearch:
     the identity, so every index loop starts at 1."""
 
     def __init__(self, group: Group, radius: int, node_limit: int):
-        check_ball_size(group, radius)
+        if group.ball_exceeds(radius, MAX_CONE_BALL):
+            raise SizeLimitError(
+                f"ball({radius}) of {group.name} has more than {MAX_CONE_BALL} "
+                "elements, too many for a cone search")
         data = group.ball_data(radius)
         elems = data.elements
         self.group = group

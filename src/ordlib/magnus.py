@@ -48,28 +48,17 @@ def word_sort_key(g) -> tuple:
     return (len(g), tuple((abs(a) - 1, 0 if a > 0 else 1) for a in g))
 
 
-class FreeGroup(Group):
-    """A finite-rank free group; elements are reduced signed-index tuples."""
+class WordGroup(Group):
+    """A group whose elements are freely reduced tuples of signed generator
+    indices: i stands for the i-th named generator, -i for its inverse.
+    Subclasses whose words have relations override ``key``."""
 
-    def __init__(self, rank: int, names: tuple = ()):
+    sort_key = staticmethod(word_sort_key)
+
+    def __init__(self, names: tuple):
         super().__init__()
-        if rank < 1:
-            raise ValueError("rank must be at least 1")
-        if not names:
-            names = tuple("xyzuvw"[:rank]) if rank <= 6 else tuple(f"x{i}" for i in range(1, rank + 1))
-        if len(names) != rank:
-            raise ValueError("need one name per generator")
-        self.rank = rank
         self.names = tuple(names)
-        self.name = f"F({','.join(self.names)})"
-
-    # equal by rank and names, so free_group(...) needs no instance cache
-    def __eq__(self, other):
-        return (isinstance(other, FreeGroup)
-                and (self.rank, self.names) == (other.rank, other.names))
-
-    def __hash__(self):
-        return hash((self.rank, self.names))
+        self.generators = tuple((i,) for i in range(1, len(self.names) + 1))
 
     @property
     def identity(self):
@@ -82,11 +71,9 @@ class FreeGroup(Group):
         return tuple(-a for a in reversed(g))
 
     def generator(self, index: int) -> tuple:
-        if not 1 <= index <= self.rank:
+        if not 1 <= index <= len(self.names):
             raise ValueError(f"generator index out of range: {index}")
         return (index,)
-
-    sort_key = staticmethod(word_sort_key)
 
     def label(self, g):
         if not g:
@@ -97,6 +84,29 @@ class FreeGroup(Group):
             name = self.names[abs(a) - 1]
             parts.append(name if k == 1 else f"{name}^{k}")
         return " ".join(parts)
+
+
+class FreeGroup(WordGroup):
+    """A finite-rank free group; elements are reduced signed-index tuples."""
+
+    def __init__(self, rank: int, names: tuple = ()):
+        if rank < 1:
+            raise ValueError("rank must be at least 1")
+        if not names:
+            names = tuple("xyzuvw"[:rank]) if rank <= 6 else tuple(f"x{i}" for i in range(1, rank + 1))
+        if len(names) != rank:
+            raise ValueError("need one name per generator")
+        super().__init__(names)
+        self.rank = rank
+        self.name = f"F({','.join(self.names)})"
+
+    # equal by rank and names, so free_group(...) needs no instance cache
+    def __eq__(self, other):
+        return (isinstance(other, FreeGroup)
+                and (self.rank, self.names) == (other.rank, other.names))
+
+    def __hash__(self):
+        return hash((self.rank, self.names))
 
     def ray(self, g):
         """(u, p) with g = u p^k u^-1 for some k > 0, p cyclically reduced
@@ -114,20 +124,6 @@ class FreeGroup(Group):
 
     def exponent_sum(self, g, index: int) -> int:
         return sum(1 if a == index else -1 if a == -index else 0 for a in g)
-
-    def _ball_elements(self, radius):
-        words = [()]
-        yield ()
-        for _ in range(radius):
-            grown = []
-            for w in words:
-                for i in range(1, self.rank + 1):
-                    for a in (i, -i):
-                        if w and w[-1] == -a:
-                            continue
-                        grown.append(w + (a,))
-            yield from grown
-            words = grown
 
 
 def free_group(rank: int, names: tuple = ()) -> FreeGroup:

@@ -100,6 +100,19 @@ def test_abelian_sign_refuses_what_it_cannot_sign(capsys):
     assert out[0].startswith("usage error: vector entries must be rational")
 
 
+@pytest.mark.parametrize("matrix,message", [
+    ("[[10000000000,0],[0,-10000000000]]",
+     "eigenvalues are rational; no irrational one-vector flag is preserved"),
+    ("[[100000000000,1],[1,0]]", "eigenvalues lie outside Q(sqrt 2)"),
+    ("[[1,5],[1,1]]", "eigenvalues live in Q(sqrt 5); construct the flag with d=5"),
+])
+def test_abelian_eigen_field_refusals_are_quick(capsys, matrix, message):
+    start = time.perf_counter()
+    rc, out = run(capsys, "abelian", "eigen", "--matrix", matrix)
+    assert time.perf_counter() - start < 2.0
+    assert (rc, out) == (1, [f"error: UnsupportedFieldError: {message}"])
+
+
 def test_abelian_eigen_star_vlo(capsys):
     rc, out = run(capsys, "abelian", "eigen", "--matrix", "[[1,2],[1,1]]")
     assert (rc, out) == (0, ["±(√2,1), eigenvalue 1+√2"])
@@ -302,6 +315,7 @@ def _limit_address_space():
     (("free", "sign", "--word", "x", "--rank", "100000000"), 2),
     (("braid", "least", "--strands", "100000", "--radius", "1"), 2),
     (("braid", "sign", "--strands", "100000", "--word", "1"), 2),
+    (("klein", "kernel", "--m-bound", "100000000"), 2),
     (("lospace", "extend", "--group", "z2", "--radius", "1", "--radius2", "2",
       "--max-results", "0"), 2),
 ])
@@ -344,6 +358,11 @@ def test_negative_radius_is_a_usage_error(argv):
     ("lospace", "enum", "--group", "z3", "--radius", "200"),
     ("lospace", "enum", "--group", "z3", "--radius", "1000000"),
     ("lospace", "extend", "--group", "z2", "--radius", "2", "--radius2", "5000"),
+    # under the 5,000-element ball cap, but over the 1,000-element cone cap
+    ("lospace", "enum", "--group", "z", "--radius", "2400"),
+    ("lospace", "enum", "--group", "f2", "--radius", "6"),
+    ("lospace", "enum", "--group", "klein", "--radius", "49"),
+    ("lospace", "extend", "--group", "z", "--radius", "1", "--radius2", "2400"),
 ])
 def test_oversized_cone_balls_are_refused_before_they_are_built(argv):
     start = time.perf_counter()
@@ -396,7 +415,7 @@ _COMMANDS = [
                           "--radius": _RADII + ["4", "6"] + _HUGE_RADII,
                           "--ordering": ["dehornoy", "flip", "1", "3"]}),
     (("klein", "orderings"), {"--radius": _RADII + ["6"] + _HUGE_RADII}),
-    (("klein", "kernel"), {"--m-bound": ["-1", "0", "1", "3", "50", "x"]}),
+    (("klein", "kernel"), {"--m-bound": ["-1", "0", "1", "3", "50", "x", "100000000"]}),
     (("klein", "witness"), {"--eps": _SIGNS, "--delta": _SIGNS, "--m": _INTS}),
     (("abelian", "sign"), {"--flag": _FLAGS, "--vector": _VECTORS, "--d": _D}),
     (("abelian", "eigen"), {"--matrix": _MATRICES, "--d": _D}),

@@ -4,12 +4,13 @@ import itertools
 
 import pytest
 
-from ordlib.braid import braid_group
+from ordlib.braid import BraidGroup, braid_group
 from ordlib.core import (
     EQ,
     GT,
     LT,
     BallData,
+    Group,
     IdentitySignError,
     NoPositiveError,
     SignOracle,
@@ -26,7 +27,7 @@ from ordlib.core import (
 )
 from ordlib.extensions import g_group, k_group, klein_group, rational_plane
 from ordlib.lattice import LatticeGroup, flag_ordering, lattice_group, matrix_automorphism
-from ordlib.magnus import free_group
+from ordlib.magnus import FreeGroup, free_group
 
 Z2 = lattice_group(2)
 LEX = flag_ordering(Z2, [(1, 0), (0, 1)])
@@ -97,6 +98,69 @@ def test_ball_exceeds_counts_without_building():
     assert group._balls == {}
     group.ball(3)
     assert not group.ball_exceeds(3, 63) and group.ball_exceeds(3, 62)
+
+
+@pytest.mark.parametrize("group,size3", [
+    (FreeGroup(2), 53), (BraidGroup(3), 47), (BraidGroup(4), 131)])
+def test_ball_exceeds_counts_word_balls_without_building(group, size3):
+    assert group.ball_exceeds(10**6, 5000)
+    assert not group.ball_exceeds(3, size3) and group.ball_exceeds(3, size3 - 1)
+    assert group._balls == {}
+    assert len(group.ball(3)) == size3
+
+
+@pytest.mark.parametrize("r", range(9))
+def test_klein_balls_are_the_l1_balls_of_the_normal_form(r):
+    ball = klein_group().ball(r)
+    assert len(ball) == len(set(ball))
+    assert set(ball) == {(a, b) for a in range(-r, r + 1) for b in range(-r, r + 1)
+                         if abs(a) + abs(b) <= r}
+
+
+@pytest.mark.parametrize("r", range(7))
+def test_free_balls_are_all_reduced_words(r):
+    words = {w for n in range(r + 1) for w in itertools.product((1, -1, 2, -2), repeat=n)
+             if all(a != -b for a, b in zip(w, w[1:]))}
+    ball = free_group(2).ball(r)
+    assert len(ball) == len(words) and set(ball) == words
+
+
+@pytest.mark.parametrize("strands", [3, 4])
+def test_braid_ball_elements_carry_their_least_geodesic(strands):
+    """Brute force over every word of length <= 4: each braid's
+    representative in ball(4) is the least word, in canonical order, among
+    the shortest words with its Dynnikov key."""
+    group = braid_group(strands)
+    letters = [a for i in range(1, strands) for a in (i, -i)]
+    least = {}
+    for n in range(5):
+        for w in itertools.product(letters, repeat=n):
+            k = group.key(w)
+            if k not in least or group.sort_key(w) < group.sort_key(least[k]):
+                least[k] = w
+    ball = group.ball(4)
+    assert len(ball) == len(least)
+    assert all(least[group.key(g)] == g for g in ball)
+
+
+class _NoGenerators(Group):
+    """Z under addition, with neither generators nor a walk of its own."""
+
+    identity = 0
+
+    def multiply(self, g, h):
+        return g + h
+
+    def invert(self, g):
+        return -g
+
+    def sort_key(self, g):
+        return (abs(g), g < 0)
+
+
+def test_a_group_without_generators_or_a_walk_has_no_ball():
+    with pytest.raises(NotImplementedError, match="no generators"):
+        _NoGenerators().ball(1)
 
 
 def test_sign_at_identity_raises():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ordlib.core import act_automorphism, separating_element
+from ordlib.extensions import _hyperbolic_power
 from ordlib.lattice import (
     ALL_ORDERINGS,
     FormFlag,
@@ -133,6 +134,15 @@ def test_eigen_orderings_scalar_and_degenerate_cases():
         eigen_orderings([[0, 1], [1, 0]])
     with pytest.raises(UnsupportedFieldError):
         eigen_orderings([[1, 5], [1, 1]], d=2)
+
+
+def test_eigen_orderings_of_large_powers():
+    """Entries of A^40 are about 10^15; the field test takes integer square
+    roots instead of counting up to them."""
+    four = ["flag[(√2,1)]", "flag[(-√2,-1)]", "flag[(-√2,1)]", "flag[(√2,-1)]"]
+    for c in (4, 40):
+        flags = eigen_orderings(_hyperbolic_power(c, False))
+        assert [f.descriptor() for f in flags] == four
 
 
 def test_eigen_orderings_other_field():
