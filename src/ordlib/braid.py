@@ -1,12 +1,15 @@
 """Braid groups ordered by lowest-generator sign.
 
 Words are tuples of nonzero ints: i stands for the i-th Artin generator,
--i for its inverse.  Signs and equality come from Dynnikov coordinates:
-the braid group acts faithfully on integer vectors (a1, b1, ..., an, bn),
-and the image of the start vector (0, 1, ..., 0, 1) is a canonical key for
-the braid, computed in O(n + L).  The first coordinate that moves decides
-the sign of the ordering, and its pair index is the lowest generator the
-braid genuinely involves.
+-i for its inverse.  Signs and equality come from Dynnikov coordinates,
+one right action of the braid group on integer vectors (a1, b1, ..., an,
+bn), carried out letter by letter by dynnikov_act.  The action is faithful,
+so a braid's key, the start vector (0, 1, ..., 0, 1) acted on by its word,
+is canonical and costs O(n + L).  The sign is read off the key: the first
+coordinate that moves decides it, and its pair index is the lowest
+generator the braid genuinely involves.  Because the action is a right
+action, the key of g*h is h's letters acting on key(g), so scans over
+products act on cached keys and never spell, reduce or rewalk g*h.
 
 The resulting ordering has the last generator as its least positive element.
 Composing with the index-reversing flip gives the mirror ordering, whose
@@ -92,25 +95,30 @@ def handle_reduce(word, budget: int = DEFAULT_BUDGET) -> tuple:
     return tuple(_reduce_main(reduce_word(word), [budget]))
 
 
-def sign_cascade(word, budget: int = DEFAULT_BUDGET):
-    """(sign, level) of a word, from its Dynnikov coordinates.
-
-    The first coordinate c[k] that differs from the start vector gives the
-    sign of the difference and the level k // 2 + 1: the braid is free of
-    the generators below that level, and its letters of that generator
-    share the sign after handle reduction.  The trivial braid gives (0, 0).
-    budget bounds the letter steps of the action; a longer word raises
-    BudgetExceededError before any work.
-    """
-    word = tuple(word)
-    if len(word) > budget:
-        raise BudgetExceededError("dynnikov step budget exhausted")
-    c = dynnikov_coordinates(max(map(abs, word), default=0) + 1, word)
+def _first_move(c) -> tuple:
+    """(sign, level) read from coordinates: the first c[k] that differs from
+    the start vector gives the sign of the difference and the level
+    k // 2 + 1; the start vector itself gives (0, 0)."""
     for k, x in enumerate(c):
         start = k & 1
         if x != start:
             return (1 if x > start else -1), k // 2 + 1
     return (0, 0)
+
+
+def sign_cascade(word, budget: int = DEFAULT_BUDGET):
+    """(sign, level) of a word, from its Dynnikov coordinates.
+
+    The level is the lowest generator the braid genuinely involves: the
+    braid is free of the generators below it, and its letters of that
+    generator share the sign after handle reduction.  The trivial braid
+    gives (0, 0).  budget bounds the letter steps of the action; a longer
+    word raises BudgetExceededError before any work.
+    """
+    word = tuple(word)
+    if len(word) > budget:
+        raise BudgetExceededError("dynnikov step budget exhausted")
+    return _first_move(dynnikov_coordinates(max(map(abs, word), default=0) + 1, word))
 
 
 def dehornoy_sign(word, budget: int = DEFAULT_BUDGET) -> int:
@@ -123,15 +131,14 @@ def flip_word(n: int, word) -> tuple:
     return tuple((1 if a > 0 else -1) * (n - abs(a)) for a in word)
 
 
-def dynnikov_coordinates(n: int, word) -> tuple:
-    """The Dynnikov coordinates (a1, b1, ..., an, bn) of a braid word.
+def dynnikov_act(c, word) -> tuple:
+    """Coordinates c acted on by a braid word, letters left to right.
 
-    Letters act left to right on the start vector (0, 1, ..., 0, 1); the
-    letter s_i^{+-1} rewrites (a_i, b_i, a_{i+1}, b_{i+1}) alone, by
-    Dynnikov's piecewise-linear formulas.  The action is faithful, so two
-    words give equal coordinates exactly when they are the same braid.
+    The letter s_i^{+-1} rewrites (a_i, b_i, a_{i+1}, b_{i+1}) alone, by
+    Dynnikov's piecewise-linear formulas.  This is a right action, so
+    dynnikov_act(dynnikov_act(c, u), v) == dynnikov_act(c, u + v).
     """
-    c = [0, 1] * n
+    c = list(c)
     for x in word:
         k = 2 * abs(x) - 2
         a, b, a2, b2 = c[k:k + 4]
@@ -154,6 +161,26 @@ def dynnikov_coordinates(n: int, word) -> tuple:
     return tuple(c)
 
 
+def dynnikov_coordinates(n: int, word) -> tuple:
+    """The Dynnikov coordinates (a1, b1, ..., an, bn) of a braid word: the
+    start vector (0, 1, ..., 0, 1) acted on by the word.
+
+    The action is faithful, so two words give equal coordinates exactly
+    when they are the same braid.  Pairs beyond the word's largest letter
+    stay at (0, 1), so the first moved coordinate, and with it the sign,
+    does not depend on n.
+    """
+    return dynnikov_act([0, 1] * n, word)
+
+
+def _product_length(g, h) -> int:
+    """len(g*h) for freely reduced g and h, without spelling the product."""
+    k = 0
+    while k < len(g) and k < len(h) and g[-1 - k] == -h[k]:
+        k += 1
+    return len(g) + len(h) - 2 * k
+
+
 class BraidGroup(WordGroup):
     """The braid group on n strands; elements are freely reduced words in
     s1, ..., s(n-1), keyed by their Dynnikov coordinates.  Ball elements
@@ -170,19 +197,44 @@ class BraidGroup(WordGroup):
     def key(self, g) -> tuple:
         return dynnikov_coordinates(self.strands, g)
 
+    def key_times(self, key_g, g, h) -> tuple:
+        return dynnikov_act(key_g, h)
+
 
 @functools.cache
 def braid_group(strands: int) -> BraidGroup:
     return BraidGroup(strands)
 
 
+def _cascade_after(n: int, g, budget: int, flipped: bool = False):
+    """h -> sign_cascade(g*h), or of flip(g*h) when flipped: h's letters act
+    on g's coordinates, which are computed once.  The budget bounds the
+    length of the reduced product, as for the word."""
+    c = dynnikov_coordinates(n, flip_word(n, g) if flipped else g)
+    room = budget - len(g)
+
+    def cascade(h):
+        if len(h) > room and _product_length(g, h) > budget:
+            raise BudgetExceededError("dynnikov step budget exhausted")
+        return _first_move(dynnikov_act(c, flip_word(n, h) if flipped else h))
+
+    return cascade
+
+
 def dehornoy_oracle(group: BraidGroup, budget: int = DEFAULT_BUDGET) -> SignOracle:
     """The lowest-generator sign ordering; its least positive element is the
     last generator."""
+    n = group.strands
+
+    def left(g):
+        cascade = _cascade_after(n, g, budget)
+        return lambda h: cascade(h)[0]
+
     return SignOracle(
         group=group,
         fn=lambda w: dehornoy_sign(w, budget),
         descriptor="dehornoy",
+        left=left,
     )
 
 
@@ -216,7 +268,21 @@ def ordering_oracle(group: BraidGroup, index: int, budget: int = DEFAULT_BUDGET)
             return dehornoy_sign(w, budget)
         return s_flip
 
-    return SignOracle(group=group, fn=sign_fn, descriptor=f"least[s{index}]")
+    def left(g):
+        flipped = _cascade_after(n, g, budget, flipped=True)
+        plain = _cascade_after(n, g, budget)
+
+        def sign(h):
+            s_flip, level = flipped(h)
+            if s_flip == 0:
+                return 0
+            if n - level + 1 <= index + 1:
+                return plain(h)[0]
+            return s_flip
+
+        return sign
+
+    return SignOracle(group=group, fn=sign_fn, descriptor=f"least[s{index}]", left=left)
 
 
 def flipped_dehornoy_oracle(group: BraidGroup, budget: int = DEFAULT_BUDGET) -> SignOracle:
@@ -224,10 +290,16 @@ def flipped_dehornoy_oracle(group: BraidGroup, budget: int = DEFAULT_BUDGET) -> 
     least positive element is the first generator, and it coincides with
     ordering_oracle(group, 1)."""
     n = group.strands
+
+    def left(g):
+        cascade = _cascade_after(n, g, budget, flipped=True)
+        return lambda h: cascade(h)[0]
+
     return SignOracle(
         group=group,
         fn=lambda w: dehornoy_sign(flip_word(n, w), budget),
         descriptor="flip-dehornoy",
+        left=left,
     )
 
 

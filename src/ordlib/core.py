@@ -25,11 +25,15 @@ from __future__ import annotations
 import functools
 import itertools
 from abc import ABC, abstractmethod
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 LT, EQ, GT = -1, 0, 1
 POSITIVE, NEGATIVE = 1, -1
+
+# each group keeps the balls of its most recently used radii, this many
+BALL_CACHE_RADII = 4
 
 
 class BudgetExceededError(RuntimeError):
@@ -63,16 +67,19 @@ class RefusedConstructionError(ValueError):
 class BallData:
     """A ball with its membership index and a lazily built product table.
 
-    ``pos`` maps each element's key to its index, so any representative of
-    a ball element is found in one lookup.  Element 0 must be the identity,
-    and no other element may be.
+    ``keys[i]`` is the key of ``elements[i]``, and ``pos`` maps each key to
+    its index, so any representative of a ball element is found in one
+    lookup.  The product table finds each product's key with the group's
+    ``key_times`` from the cached key of its left factor.  Element 0 must
+    be the identity, and no other element may be.
     """
 
     def __init__(self, group: "Group", radius: int, elements: list):
         self.group = group
         self.radius = radius
         self.elements = elements
-        self.pos = {group.key(g): i for i, g in enumerate(elements)}
+        self.keys = [group.key(g) for g in elements]
+        self.pos = {k: i for i, k in enumerate(self.keys)}
         if self.pos.get(group.key(group.identity)) != 0:
             raise ValueError(
                 f"ball({radius}) of {group.name} does not list the identity "
@@ -102,8 +109,9 @@ class BallData:
         if self._products is None:
             grp = self.group
             elems = self.elements
-            pos, key, mul = self.pos, grp.key, grp.multiply
-            table = [[pos.get(key(mul(g, h)), -1) for h in elems] for g in elems]
+            pos, key_times = self.pos, grp.key_times
+            table = [[pos.get(key_times(kg, g, h), -1) for h in elems]
+                     for g, kg in zip(elems, self.keys)]
             self._products = table
         return self._products
 
@@ -159,10 +167,15 @@ class Group(ABC):
             level = grown
 
     def __init__(self):
-        self._balls: dict[int, BallData] = {}
+        self._balls: OrderedDict[int, BallData] = OrderedDict()
 
     def key(self, g):
         return g
+
+    def key_times(self, key_g, g, h):
+        """key(g*h), given key_g = key(g).  Groups whose keys carry a right
+        action of the group override this to act on key_g."""
+        return self.key(self.multiply(g, h))
 
     def same(self, g, h) -> bool:
         return g == h or self.key(g) == self.key(h)
@@ -191,10 +204,15 @@ class Group(ABC):
     def ball_data(self, radius: int) -> BallData:
         if radius < 0:
             raise ValueError("radius must be non-negative")
-        if radius not in self._balls:
+        data = self._balls.get(radius)
+        if data is None:
             elems = sorted(self._ball_elements(radius), key=self.sort_key)
-            self._balls[radius] = BallData(self, radius, elems)
-        return self._balls[radius]
+            data = self._balls[radius] = BallData(self, radius, elems)
+            if len(self._balls) > BALL_CACHE_RADII:
+                self._balls.popitem(last=False)
+        else:
+            self._balls.move_to_end(radius)
+        return data
 
 
 @dataclass(frozen=True)
@@ -202,12 +220,23 @@ class SignOracle:
     """A total, computable positive cone on a group.
 
     ``fn`` returns +1 or -1 on every nonidentity element and 0 exactly at
-    the identity; ``sign`` is ``fn`` with the identity refused.
+    the identity; ``sign`` is ``fn`` with the identity refused.  ``fn`` is
+    the definition.  ``left``, when given, maps g to the function
+    h -> fn(g*h) and computes its state for g once; scans that sign many
+    products with one left factor use it through ``left_fn``.
     """
 
     group: Group
     fn: Callable
     descriptor: str
+    left: Optional[Callable] = None
+
+    def left_fn(self, g) -> Callable:
+        """The function h -> fn(g*h)."""
+        if self.left is not None:
+            return self.left(g)
+        grp, fn = self.group, self.fn
+        return lambda h: fn(grp.multiply(g, h))
 
     def sign(self, g) -> int:
         s = self.fn(g)
@@ -270,7 +299,8 @@ def verify_cone_axioms(oracle: SignOracle, group: Group, radius: int,
 
     Every nonidentity g must satisfy sign(g^-1) = -sign(g), and the product
     of any two positives from the ball must be positive.  Products are
-    signed directly by the oracle, so closure is not clipped to the ball;
+    signed directly by the oracle, through ``left_fn`` once per left
+    factor, so closure is not clipped to the ball;
     a product of positives collapsing to the identity is caught the same
     way.  Violations carry their witnesses.
     """
@@ -285,8 +315,9 @@ def verify_cone_axioms(oracle: SignOracle, group: Group, radius: int,
         if s == POSITIVE:
             positives.append(g)
     for g in positives:
+        sign_gh = oracle.left_fn(g)
         for h in positives:
-            if oracle.fn(group.multiply(g, h)) != POSITIVE:
+            if sign_gh(h) != POSITIVE:
                 violations.append(("closure", (g, h)))
                 if len(violations) >= max_violations:
                     return AxiomReport(False, violations)

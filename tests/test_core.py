@@ -9,6 +9,7 @@ from ordlib.core import (
     EQ,
     GT,
     LT,
+    BALL_CACHE_RADII,
     BallData,
     Group,
     IdentitySignError,
@@ -98,6 +99,20 @@ def test_ball_exceeds_counts_without_building():
     assert group._balls == {}
     group.ball(3)
     assert not group.ball_exceeds(3, 63) and group.ball_exceeds(3, 62)
+
+
+def test_ball_cache_keeps_the_most_recently_used_radii():
+    group = LatticeGroup(2)
+    built = [group.ball_data(r) for r in range(8)]
+    assert list(group._balls) == [4, 5, 6, 7]
+    group.ball(5)
+    group.ball(3)
+    assert list(group._balls) == [6, 7, 5, 3]
+    rebuilt = group.ball_data(3)
+    assert rebuilt is not built[3]
+    assert (rebuilt.elements, rebuilt.keys) == (built[3].elements, built[3].keys)
+    assert group.ball(0) == built[0].elements
+    assert len(group._balls) == BALL_CACHE_RADII == 4
 
 
 @pytest.mark.parametrize("group,size3", [
