@@ -467,7 +467,9 @@ def cmd_lospace_enum(args) -> int:
 
 def cmd_lospace_extend(args) -> int:
     group = _lospace_group(args.group)
-    cones = enumerate_partial_cones(group, args.radius)
+    # stop at the cone asked for; a negative or missing index counts them all
+    stop = args.index + 1 if args.index >= 0 else None
+    cones = enumerate_partial_cones(group, args.radius, max_results=stop)
     if not 0 <= args.index < len(cones):
         raise UsageError(
             f"index {args.index} out of range for {len(cones)} cones")

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -72,10 +73,15 @@ class BallData:
     lookup.  The product table finds each product's key with the group's
     ``key_times`` from the cached key of its left factor.  Element 0 must
     be the identity, and no other element may be.
+
+    The ball refers to its group weakly: the group's ball cache holds the
+    ball, so a strong reference back would make a cycle, and a dropped
+    group would keep its balls, their tables and whatever is keyed by them
+    until the cyclic collector ran.
     """
 
     def __init__(self, group: "Group", radius: int, elements: list):
-        self.group = group
+        self._group = weakref.ref(group)
         self.radius = radius
         self.elements = elements
         self.keys = [group.key(g) for g in elements]
@@ -86,6 +92,13 @@ class BallData:
                 "first and only there")
         self._inverse: list[int] | None = None
         self._products: list[list[int]] | None = None
+
+    @property
+    def group(self) -> "Group":
+        group = self._group()
+        if group is None:
+            raise ReferenceError(f"ball({self.radius}) outlived its group")
+        return group
 
     def index_of(self, g) -> Optional[int]:
         """Index of g in the ball, or None.  g may be any representative."""
@@ -223,7 +236,11 @@ class SignOracle:
     the identity; ``sign`` is ``fn`` with the identity refused.  ``fn`` is
     the definition.  ``left``, when given, maps g to the function
     h -> fn(g*h) and computes its state for g once; scans that sign many
-    products with one left factor use it through ``left_fn``.
+    products with one left factor use it through ``left_fn``.  The braid
+    oracles (``dehornoy``, ``flip-dehornoy``, every ``least[s_i]``) give one
+    that acts on g's cached Dynnikov coordinates, and the G-ordering one
+    that reads the exponents before any plane arithmetic; the others
+    multiply.
     """
 
     group: Group
@@ -335,14 +352,15 @@ def act_automorphism(phi: GroupAutomorphism, oracle: SignOracle) -> SignOracle:
 
 def check_bi_invariance(oracle: SignOracle, group: Group, radius: int):
     """None if conjugation preserves signs on the ball, else the first (g, p)
-    in canonical order with sign(p) = + and sign(g p g^-1) = -."""
+    in canonical order with sign(p) = + and sign(g p g^-1) = -.  Each
+    conjugate is signed as g * (p g^-1) through ``left_fn(g)``."""
     ball = group.ball(radius)[1:]
     positives = [p for p in ball if oracle.sign(p) == POSITIVE]
     for g in ball:
         ginv = group.invert(g)
+        sign_g = oracle.left_fn(g)
         for p in positives:
-            conj = group.multiply(group.multiply(g, p), ginv)
-            if oracle.sign(conj) == NEGATIVE:
+            if sign_g(group.multiply(p, ginv)) == NEGATIVE:
                 return (g, p)
     return None
 

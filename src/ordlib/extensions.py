@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .core import (
@@ -381,9 +381,9 @@ def _g_plane_matrix(t: int, c: int) -> tuple:
     return _mat2_mul(_hyperbolic_power(t, True), _hyperbolic_power(c, False))
 
 
-def _plane_add_times(u, v, mat) -> tuple:
-    """u + v M on Q^2 for an integer matrix M.  All four coordinates go over
-    one denominator, so each output Fraction is built once."""
+def _plane_numerators(u, v, mat) -> tuple:
+    """(p, q, den) with u + v M = (p/den, q/den) for an integer matrix M and
+    den > 0: all four coordinates go over one denominator."""
     (a, b), (e, f) = mat
     (x, y), (z, w) = u, v
     xn, xd = x.as_integer_ratio()
@@ -394,7 +394,14 @@ def _plane_add_times(u, v, mat) -> tuple:
     if den != 1:
         xn, yn = xn * (den // xd), yn * (den // yd)
         zn, wn = zn * (den // zd), wn * (den // wd)
-    return (Fraction(xn + zn * a + wn * e, den), Fraction(yn + zn * b + wn * f, den))
+    return (xn + zn * a + wn * e, yn + zn * b + wn * f, den)
+
+
+def _plane_add_times(u, v, mat) -> tuple:
+    """u + v M on Q^2 for an integer matrix M; each output Fraction is
+    built once."""
+    p, q, den = _plane_numerators(u, v, mat)
+    return (Fraction(p, den), Fraction(q, den))
 
 
 def _plane_matrix_power(negated: bool):
@@ -506,11 +513,41 @@ def lex_extension(pk: SignOracle, ext: ZExtensionGroup) -> SignOracle:
                       descriptor=f"lex[{pk.descriptor}]")
 
 
+def _g_left(u: FormFlag, g):
+    """h -> sign(g*h) under the G-ordering over u, the decision that
+    ``lex_extension_sign`` of ``k_ordering_sign`` makes on
+    ``_GGroup.multiply(g, h)``.  The K exponent of g*h is c1 + c2; only when
+    it vanishes is the plane part built, with g's twist matrix taken once,
+    and signed from its integer numerators over a positive denominator."""
+    (v1, c1), t1 = g
+    mat = _g_plane_matrix(t1, c1)
+
+    def sign_gh(h):
+        (v2, c2), t2 = h
+        c = c1 + c2
+        if c:
+            return 1 if c > 0 else -1
+        p, q, _ = _plane_numerators(v1, v2, mat)
+        if p or q:
+            return u.form_sign((p, q))
+        return _int_sign(t1 + t2)
+
+    return sign_gh
+
+
 @functools.cache
 def g_ordering() -> SignOracle:
     """The lexicographic ordering of G over the eigenvector flag; t is its
-    least positive element."""
-    return lex_extension(k_ordering(k_eigen_flag()), g_group())
+    least positive element.
+
+    Its ``left`` hook signs g*h from the exponents first: a nonzero K
+    exponent c1 + c2 decides alone, and only products whose K exponents
+    cancel build the plane part, read through the flag, and then fall back
+    to the t exponent t1 + t2.
+    """
+    flag = k_eigen_flag()
+    oracle = lex_extension(k_ordering(flag), g_group())
+    return replace(oracle, left=functools.partial(_g_left, flag))
 
 
 def klein_as_extension() -> ZExtensionGroup:

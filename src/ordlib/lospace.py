@@ -12,6 +12,10 @@ ball order; the ball's key index says which element each sign belongs to.
 Enumeration is a small backtracking solver: one boolean per inverse pair,
 three-literal clauses from the ball's product table, unit propagation, and
 positive-first branching so the output comes back in a canonical order.
+The clause index is built once per ball and shared by every enumeration
+and extension on it; it is dropped with the ball, so the group's ball
+cache bounds it.  Each search keeps only its own assignment, trail and
+node count.
 
 Isolator membership and the power-agreement condition are exact: both
 compare the groups' ray keys, which are equal exactly when two elements
@@ -20,9 +24,11 @@ have a common positive power.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from .core import (
+    BallData,
     Group,
     IdentitySignError,
     SignOracle,
@@ -93,62 +99,90 @@ class PartialCone:
             for g, s in zip(self.elements(), self.signs))
 
 
+def _build_clauses(table, lit) -> tuple:
+    # positives g, h with gh in the ball force gh positive:
+    # (not g+) or (not h+) or (gh)+
+    out = set()
+    for i in range(1, len(lit)):
+        row = table[i]
+        li = lit[i]
+        for j in range(1, len(lit)):
+            k = row[j]
+            if k <= 0:
+                continue
+            clause = {-li, -lit[j], lit[k]}
+            if not any(-x in clause for x in clause):
+                out.add(tuple(sorted(clause)))
+    return tuple(sorted(out))
+
+
+class _ClauseIndex:
+    """The clauses of one ball over inverse-pair variables, never changed
+    once built.  Element 0 is the identity, so every index loop starts at
+    1."""
+
+    def __init__(self, data: BallData):
+        inv = data.inverse_index()
+        n = len(data.elements)
+        self.impossible = any(inv[i] == i for i in range(1, n))
+        # lit[i]: signed 1-based variable literal meaning "element i is positive"
+        lit = [0] * n
+        reps = []
+        for i in range(1, n):
+            if lit[i]:
+                continue
+            v = len(reps) + 1
+            lit[i] = v
+            lit[inv[i]] = -v
+            reps.append(i)
+        self.lit = tuple(lit)
+        self.reps = tuple(reps)
+        self.clauses = _build_clauses(data.product_table(), self.lit)
+        adj = [[] for _ in reps]
+        for ci, clause in enumerate(self.clauses):
+            for x in clause:
+                adj[abs(x) - 1].append(ci)
+        self.adj = tuple(map(tuple, adj))
+
+
+# one clause index per ball, dropped with the ball, so the group's ball
+# cache bounds it
+_CLAUSE_INDEX: weakref.WeakKeyDictionary[BallData, _ClauseIndex] = weakref.WeakKeyDictionary()
+
+
+def _clause_index(group: Group, radius: int) -> _ClauseIndex:
+    if group.ball_exceeds(radius, MAX_CONE_BALL):
+        raise SizeLimitError(
+            f"ball({radius}) of {group.name} has more than {MAX_CONE_BALL} "
+            "elements, too many for a cone search")
+    data = group.ball_data(radius)
+    index = _CLAUSE_INDEX.get(data)
+    if index is None:
+        index = _CLAUSE_INDEX[data] = _ClauseIndex(data)
+    return index
+
+
 class _ConeSearch:
-    """Clause solver over inverse-pair variables for one ball.  Element 0 is
-    the identity, so every index loop starts at 1."""
+    """One search's solver state over the shared clause index of a ball:
+    the assignment, its trail, and the nodes spent against node_limit."""
 
     def __init__(self, group: Group, radius: int, node_limit: int):
-        if group.ball_exceeds(radius, MAX_CONE_BALL):
-            raise SizeLimitError(
-                f"ball({radius}) of {group.name} has more than {MAX_CONE_BALL} "
-                "elements, too many for a cone search")
-        data = group.ball_data(radius)
-        elems = data.elements
         self.group = group
-        inv = data.inverse_index()
-        self.impossible = any(inv[i] == i for i in range(1, len(elems)))
-        # lit[i]: signed 1-based variable literal meaning "element i is positive"
-        self.lit = [0] * len(elems)
-        self.reps = []
-        for i in range(1, len(elems)):
-            if self.lit[i]:
-                continue
-            v = len(self.reps) + 1
-            self.lit[i] = v
-            self.lit[inv[i]] = -v
-            self.reps.append(i)
-        self.clauses = self._build_clauses(data)
-        self.adj = [[] for _ in range(len(self.reps))]
-        for ci, clause in enumerate(self.clauses):
-            for lit in clause:
-                self.adj[abs(lit) - 1].append(ci)
+        self.radius = radius
+        index = _clause_index(group, radius)
+        self.impossible = index.impossible
+        self.lit, self.reps = index.lit, index.reps
+        self.clauses, self.adj = index.clauses, index.adj
         self.limit = node_limit
         self.nodes = 0
         self.assign = [0] * len(self.reps)
         self.trail = []
 
-    def _build_clauses(self, data) -> list:
-        # positives g, h with gh in the ball force gh positive:
-        # (not g+) or (not h+) or (gh)+
-        table = data.product_table()
-        lit = self.lit
-        out = set()
-        for i in range(1, len(lit)):
-            row = table[i]
-            li = lit[i]
-            for j in range(1, len(lit)):
-                k = row[j]
-                if k <= 0:
-                    continue
-                clause = {-li, -lit[j], lit[k]}
-                if not any(-x in clause for x in clause):
-                    out.add(tuple(sorted(clause)))
-        return sorted(out)
-
     def _propagate(self, pending: list) -> bool:
+        assign, trail, clauses, adj = self.assign, self.trail, self.clauses, self.adj
         while pending:
             v, val = pending.pop()
-            cur = self.assign[v]
+            cur = assign[v]
             if cur:
                 if cur != val:
                     return False
@@ -157,26 +191,24 @@ class _ConeSearch:
             if self.nodes > self.limit:
                 raise SizeLimitError(
                     f"cone search exceeded {self.limit} nodes")
-            self.assign[v] = val
-            self.trail.append(v)
-            for ci in self.adj[v]:
-                if not self._scan_clause(ci, pending):
-                    return False
-        return True
-
-    def _scan_clause(self, ci: int, pending: list) -> bool:
-        free = None
-        for lit in self.clauses[ci]:
-            val = self.assign[abs(lit) - 1]
-            if val == 0:
-                if free is not None:
-                    return True
-                free = lit
-            elif (val > 0) == (lit > 0):
-                return True
-        if free is None:
-            return False
-        pending.append((abs(free) - 1, 1 if free > 0 else -1))
+            assign[v] = val
+            trail.append(v)
+            for ci in adj[v]:
+                # a clause with every literal false is a conflict, and one
+                # with a single unassigned literal and no true one forces it
+                free = None
+                for lit in clauses[ci]:
+                    x = assign[abs(lit) - 1]
+                    if x == 0:
+                        if free is not None:
+                            break
+                        free = lit
+                    elif (x > 0) == (lit > 0):
+                        break
+                else:
+                    if free is None:
+                        return False
+                    pending.append((abs(free) - 1, 1 if free > 0 else -1))
         return True
 
     def solutions(self, preset, max_results=None) -> list:
@@ -203,17 +235,25 @@ class _ConeSearch:
             if max_results is not None and len(out) >= max_results:
                 return
 
-    def cone(self, assignment: tuple, radius: int) -> PartialCone:
+    def cone(self, assignment: tuple) -> PartialCone:
         signs = [assignment[v - 1] if v > 0 else -assignment[-v - 1]
                  for v in self.lit[1:]]
-        return PartialCone(self.group, radius, tuple(signs))
+        return PartialCone(self.group, self.radius, tuple(signs))
+
+
+def _check_max_results(max_results) -> None:
+    if max_results is not None and max_results < 1:
+        raise ValueError(f"max_results must be at least 1, got {max_results}")
 
 
 def enumerate_partial_cones(group: Group, radius: int,
-                            node_limit: int = DEFAULT_NODE_LIMIT) -> list:
-    """All partial cones on ball(radius), in canonical order."""
+                            node_limit: int = DEFAULT_NODE_LIMIT,
+                            max_results: int | None = None) -> list:
+    """All partial cones on ball(radius), in canonical order; max_results
+    stops the search once that many exist, keeping the first ones."""
+    _check_max_results(max_results)
     search = _ConeSearch(group, radius, node_limit)
-    return [search.cone(a, radius) for a in search.solutions(())]
+    return [search.cone(a) for a in search.solutions((), max_results)]
 
 
 def extend_partial_cone(cone: PartialCone, group: Group, radius2: int,
@@ -224,8 +264,7 @@ def extend_partial_cone(cone: PartialCone, group: Group, radius2: int,
     max_results stops the search early once enough completions exist."""
     if radius2 <= cone.radius:
         raise ValueError("extension radius must exceed the cone's radius")
-    if max_results is not None and max_results < 1:
-        raise ValueError(f"max_results must be at least 1, got {max_results}")
+    _check_max_results(max_results)
     search = _ConeSearch(group, radius2, node_limit)
     data = group.ball_data(radius2)
     preset = []
@@ -236,7 +275,7 @@ def extend_partial_cone(cone: PartialCone, group: Group, radius2: int,
                 f"cone element {group.label(g)} is missing from ball({radius2})")
         lit = search.lit[idx]
         preset.append((abs(lit) - 1, s if lit > 0 else -s))
-    return [search.cone(a, radius2) for a in search.solutions(preset, max_results)]
+    return [search.cone(a) for a in search.solutions(preset, max_results)]
 
 
 def isolator_member(group: Group, h, g) -> bool:

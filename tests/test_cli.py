@@ -8,7 +8,10 @@ import time
 
 import pytest
 
+import ordlib.cli as cli
 from ordlib.cli import main
+from ordlib.lattice import lattice_group
+from ordlib.lospace import enumerate_partial_cones, extend_partial_cone
 
 
 def run(capsys, *argv):
@@ -195,6 +198,32 @@ def test_lospace_commands(capsys):
     rc, out = run(capsys, "lospace", "separate", "--group", "klein",
                   "--first", "++", "--second", "++")
     assert (rc, out) == (0, ["none"])
+
+
+def test_lospace_extend_stops_at_the_index(capsys, monkeypatch):
+    """extend enumerates only up to the cone it extends; a missed index
+    still reports the full count, whether it is too large or negative."""
+    cones = enumerate_partial_cones(lattice_group(2), 2)
+    assert len(cones) == 8
+    listed = []
+
+    def counted(*args, **kwargs):
+        out = enumerate_partial_cones(*args, **kwargs)
+        listed.append(len(out))
+        return out
+
+    monkeypatch.setattr(cli, "enumerate_partial_cones", counted)
+    for index in (0, 2, 7):
+        rc, out = run(capsys, "lospace", "extend", "--group", "z2", "--radius", "2",
+                      "--radius2", "3", "--index", str(index))
+        want = len(extend_partial_cone(cones[index], lattice_group(2), 3))
+        assert (rc, out) == (0, [f"completions: {want}"])
+        assert listed.pop() == index + 1
+    for index in (8, 40, -1):
+        rc, out = run(capsys, "lospace", "extend", "--group", "z2", "--radius", "2",
+                      "--radius2", "3", "--index", str(index))
+        assert (rc, out) == (2, [f"usage error: index {index} out of range for 8 cones"])
+        assert listed.pop() == 8
 
 
 def test_lospace_star(capsys):

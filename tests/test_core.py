@@ -1,6 +1,8 @@
 """Cone axioms, comparisons, and witness searches on small balls."""
 
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -113,6 +115,24 @@ def test_ball_cache_keeps_the_most_recently_used_radii():
     assert (rebuilt.elements, rebuilt.keys) == (built[3].elements, built[3].keys)
     assert group.ball(0) == built[0].elements
     assert len(group._balls) == BALL_CACHE_RADII == 4
+
+
+def test_a_dropped_group_frees_its_balls_at_once():
+    """Balls refer to their group weakly, so dropping the group frees its
+    balls and product tables by reference counting alone; a ball kept past
+    its group refuses to answer."""
+    gc.disable()
+    try:
+        group = LatticeGroup(2)
+        group.ball_data(3).product_table()
+        ball = weakref.ref(group.ball_data(3))
+        del group
+        assert ball() is None
+    finally:
+        gc.enable()
+    orphan = LatticeGroup(1).ball_data(1)
+    with pytest.raises(ReferenceError, match="outlived its group"):
+        orphan.index_of((1,))
 
 
 @pytest.mark.parametrize("group,size3", [

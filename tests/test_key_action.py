@@ -1,10 +1,12 @@
-"""Products signed and located from cached Dynnikov keys.
+"""Products signed and located from state cached for the left factor.
 
 The key of g*h is h's letters acting on key(g), and a product's sign is read
 from the coordinates that action produces.  The word path spells g*h,
 reduces it and walks it from the start vector; these tests hold the two
 paths to the same keys, signs, tables, violations and budget refusals, and
-count that the key path spells no product at all.
+count that the key path spells no product at all.  The G-ordering's hook
+reads the exponents first; it is held to the sign of the full product, and
+counted to build the plane part only where the K exponents cancel.
 """
 
 import random
@@ -12,7 +14,9 @@ import random
 import pytest
 
 import ordlib.braid as braid
+import ordlib.extensions as extensions
 import ordlib.magnus as magnus
+from ordlib import verify
 from ordlib.braid import (
     BraidGroup,
     braid_group,
@@ -23,10 +27,14 @@ from ordlib.braid import (
     flipped_dehornoy_oracle,
 )
 from ordlib.core import BudgetExceededError, SignOracle, verify_cone_axioms
+from ordlib.extensions import g_group, g_ordering
 
 BALLS = [(3, 3), (4, 3), (5, 3), (6, 3), (3, 4), (4, 4)]
 PAIRS_PER_BALL = 400
+PAIRS_PER_JOB = 2000
 TABLE_ROWS = 24
+LEFT_JOBS = [(oracle, group, radius) for oracle, group, radius in verify._axiom_jobs()
+             if oracle.left is not None]
 
 
 def _oracles(group, budget=braid.DEFAULT_BUDGET):
@@ -154,3 +162,74 @@ def test_key_path_spells_no_product(monkeypatch):
     # the counters do see the word path
     assert verify_cone_axioms(_word_only(oracle), group, 3).passed
     assert calls["multiply"] > 1000 and calls["reduce_word"] == calls["multiply"]
+
+
+@pytest.mark.parametrize("oracle,group,radius", LEFT_JOBS,
+                         ids=[f"{g.name}/{o.descriptor}" for o, g, _ in LEFT_JOBS])
+def test_left_hooks_sign_the_product(oracle, group, radius):
+    """Every battery oracle with a left hook: left_fn(g)(h) is fn of the
+    spelt product, on seeded pairs of the job's ball and, for G, on every
+    pair of ball(2)."""
+    ball = group.ball(radius)
+    rng = random.Random(f"{group.name}/{oracle.descriptor}")
+    pairs = [(rng.choice(ball), rng.choice(ball)) for _ in range(PAIRS_PER_JOB)]
+    if group is g_group():
+        small = group.ball(2)
+        pairs += [(g, h) for g in small for h in small]
+    for g, h in pairs:
+        assert oracle.left_fn(g)(h) == oracle.fn(group.multiply(g, h)), (g, h)
+
+
+def test_g_hook_covers_cancelling_exponents_and_the_identity():
+    """On G ball(2), the pairs whose K exponents cancel sign through the
+    plane part, or through t when that vanishes too, and g * g^-1 reads 0."""
+    group, oracle = g_group(), g_ordering()
+    ball = group.ball(2)
+    seen = {"k": 0, "plane": 0, "t": 0, "identity": 0}
+    for g in ball:
+        sign_gh = oracle.left_fn(g)
+        for h in ball:
+            (v, c), t = gh = group.multiply(g, h)
+            kind = "k" if c else "plane" if any(v) else "t" if t else "identity"
+            seen[kind] += 1
+            assert sign_gh(h) == oracle.fn(gh), (g, h)
+        assert sign_gh(group.invert(g)) == 0
+    assert min(seen.values()) > 0, seen
+    assert seen["identity"] == len(ball)
+
+
+def test_g_closure_pass_builds_planes_only_where_k_exponents_cancel(monkeypatch):
+    """Counted, not timed: the G closure pass on ball(3) never calls
+    _GGroup.multiply, and does plane arithmetic once per pair of positives
+    whose K exponents cancel; the inverse pass is counted apart."""
+    group, oracle = g_group(), g_ordering()
+    ball = group.ball(3)[1:]
+    positives = [g for g in ball if oracle.sign(g) == 1]
+    cancel = sum(1 for (_, c1), _ in positives for (_, c2), _ in positives
+                 if c1 + c2 == 0)
+    assert 0 < cancel < len(positives) ** 2
+    calls = {"multiply": 0, "numerators": 0, "fractions": 0}
+    multiply = extensions._GGroup.multiply
+    numerators, add_times = extensions._plane_numerators, extensions._plane_add_times
+
+    def counted(name, f):
+        def wrapped(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapped
+
+    monkeypatch.setattr(extensions._GGroup, "multiply", counted("multiply", multiply))
+    monkeypatch.setattr(extensions, "_plane_numerators", counted("numerators", numerators))
+    monkeypatch.setattr(extensions, "_plane_add_times", counted("fractions", add_times))
+    for g in ball:
+        group.invert(g)
+    inverse_pass = dict(calls)
+    assert inverse_pass["multiply"] == 0
+    assert verify_cone_axioms(oracle, group, 3).passed
+    assert calls == {"multiply": 0,
+                     "numerators": 2 * inverse_pass["numerators"] + cancel,
+                     "fractions": 2 * inverse_pass["fractions"]}
+    # the counters do see the word path
+    calls.update(multiply=0)
+    assert verify_cone_axioms(_word_only(oracle), group, 3).passed
+    assert calls["multiply"] == len(positives) ** 2

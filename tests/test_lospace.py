@@ -1,16 +1,20 @@
-"""Partial-cone enumeration checked against brute force, plus the exact
-isolator and power-agreement checks, whose ray keys are compared with a
-bounded power search."""
+"""Partial-cone enumeration checked against brute force, the clause index
+shared by every search on a ball, plus the exact isolator and
+power-agreement checks, whose ray keys are compared with a bounded power
+search."""
 
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
+import ordlib.lospace as lospace
 from ordlib.braid import braid_group, dehornoy_oracle
-from ordlib.core import IdentitySignError, SizeLimitError
-from ordlib.extensions import KleinAut, klein_group, klein_orderings
+from ordlib.core import BALL_CACHE_RADII, IdentitySignError, SizeLimitError
+from ordlib.extensions import KleinAut, KleinGroup, klein_group, klein_orderings
 from ordlib.lattice import lattice_group, mat_from_rows, row_times_mat
 from ordlib.lospace import (
     PartialCone,
@@ -135,6 +139,70 @@ def test_node_limit_and_ball_cap():
         enumerate_partial_cones(free_group(2), 2, node_limit=3)
     with pytest.raises(SizeLimitError):
         enumerate_partial_cones(Z2, 50)
+
+
+def _count_clause_builds(monkeypatch) -> list:
+    """Patch _build_clauses to record the ball size of every build."""
+    built = []
+    build = lospace._build_clauses
+
+    def counted(table, lit):
+        built.append(len(lit))
+        return build(table, lit)
+
+    monkeypatch.setattr(lospace, "_build_clauses", counted)
+    return built
+
+
+def test_extensions_share_one_clause_set(monkeypatch):
+    """The four Klein radius-6 cones extend to radius 12 over one clause
+    set, and each completes as it does on a fresh group."""
+    group = KleinGroup()
+    cones = enumerate_partial_cones(group, 6)
+    assert len(cones) == 4
+    built = _count_clause_builds(monkeypatch)
+    shared = [extend_partial_cone(cone, group, 12) for cone in cones]
+    assert built == [len(group.ball(12))]
+    for i, found in enumerate(shared):
+        fresh = KleinGroup()
+        alone = extend_partial_cone(enumerate_partial_cones(fresh, 6)[i], fresh, 12)
+        assert [c.signs for c in found] == [c.signs for c in alone]
+        assert len(found) == 1
+    assert len(built) == 1 + 2 * len(cones)
+
+
+def test_node_limit_applies_per_call():
+    group = free_group(2)
+    full = enumerate_partial_cones(group, 2)
+    with pytest.raises(SizeLimitError, match="exceeded 3 nodes"):
+        enumerate_partial_cones(group, 2, node_limit=3)
+    with pytest.raises(SizeLimitError, match="exceeded 3 nodes"):
+        extend_partial_cone(enumerate_partial_cones(group, 1)[0], group, 2, node_limit=3)
+    assert [c.signs for c in enumerate_partial_cones(group, 2)] == [c.signs for c in full]
+
+
+def test_enumeration_stops_at_max_results():
+    cones = enumerate_partial_cones(Z2, 2)
+    for k in (1, 3, len(cones), len(cones) + 5):
+        assert enumerate_partial_cones(Z2, 2, max_results=k) == cones[:k]
+    with pytest.raises(ValueError, match="max_results must be at least 1"):
+        enumerate_partial_cones(Z2, 2, max_results=0)
+
+
+def test_clause_index_leaves_with_its_ball():
+    """A ball evicted from the group's ball cache takes its clause index
+    with it."""
+    group = lattice_group(1)
+    enumerate_partial_cones(group, 1)
+    data = weakref.ref(group.ball_data(1))
+    index = weakref.ref(lospace._CLAUSE_INDEX[data()])
+    for radius in range(2, 2 + BALL_CACHE_RADII):
+        enumerate_partial_cones(group, radius)
+    gc.collect()
+    assert data() is None and index() is None
+    assert len(group._balls) == BALL_CACHE_RADII
+    kept = [d for d in lospace._CLAUSE_INDEX.keys() if d.group is group]
+    assert sorted(d.radius for d in kept) == list(range(2, 2 + BALL_CACHE_RADII))
 
 
 def test_isolator_membership():
