@@ -21,8 +21,10 @@ Handle reduction rewrites words instead: a handle is a subword
 s1^e ... s1^-e with no other occurrence of the first generator between the
 pair; deleting the pair and replacing every s2^d inside by s2^-e s1^d s2^e
 yields the same braid, and the reduced word has first-generator letters of
-one sign.  It serves `ord braid reduce` and is the engine independent of
-the coordinates, which the battery and the tests check them against.
+one sign.  Rewriting can grow the word, so handle reduction runs under a
+budget of reductions; a sign is one linear pass and needs none.  Handle
+reduction serves `ord braid reduce` and is the engine independent of the
+coordinates, which the battery and the tests check them against.
 """
 
 from __future__ import annotations
@@ -106,25 +108,22 @@ def _first_move(c) -> tuple:
     return (0, 0)
 
 
-def sign_cascade(word, budget: int = DEFAULT_BUDGET):
+def sign_cascade(word):
     """(sign, level) of a word, from its Dynnikov coordinates.
 
     The level is the lowest generator the braid genuinely involves: the
     braid is free of the generators below it, and its letters of that
     generator share the sign after handle reduction.  The trivial braid
-    gives (0, 0).  budget bounds the letter steps of the action; a longer
-    word raises BudgetExceededError before any work.
+    gives (0, 0).
     """
     word = tuple(word)
-    if len(word) > budget:
-        raise BudgetExceededError("dynnikov step budget exhausted")
     return _first_move(dynnikov_coordinates(max(map(abs, word), default=0) + 1, word))
 
 
-def dehornoy_sign(word, budget: int = DEFAULT_BUDGET) -> int:
+def dehornoy_sign(word) -> int:
     """The sign of the ordering whose least positive element is the last
     generator: the sign half of sign_cascade."""
-    return sign_cascade(word, budget)[0]
+    return sign_cascade(word)[0]
 
 
 def flip_word(n: int, word) -> tuple:
@@ -173,14 +172,6 @@ def dynnikov_coordinates(n: int, word) -> tuple:
     return dynnikov_act([0, 1] * n, word)
 
 
-def _product_length(g, h) -> int:
-    """len(g*h) for freely reduced g and h, without spelling the product."""
-    k = 0
-    while k < len(g) and k < len(h) and g[-1 - k] == -h[k]:
-        k += 1
-    return len(g) + len(h) - 2 * k
-
-
 class BraidGroup(WordGroup):
     """The braid group on n strands; elements are freely reduced words in
     s1, ..., s(n-1), keyed by their Dynnikov coordinates.  Ball elements
@@ -206,33 +197,25 @@ def braid_group(strands: int) -> BraidGroup:
     return BraidGroup(strands)
 
 
-def _cascade_after(n: int, g, budget: int, flipped: bool = False):
+def _cascade_after(n: int, g, flipped: bool = False):
     """h -> sign_cascade(g*h), or of flip(g*h) when flipped: h's letters act
-    on g's coordinates, which are computed once.  The budget bounds the
-    length of the reduced product, as for the word."""
+    on g's coordinates, which are computed once."""
     c = dynnikov_coordinates(n, flip_word(n, g) if flipped else g)
-    room = budget - len(g)
-
-    def cascade(h):
-        if len(h) > room and _product_length(g, h) > budget:
-            raise BudgetExceededError("dynnikov step budget exhausted")
-        return _first_move(dynnikov_act(c, flip_word(n, h) if flipped else h))
-
-    return cascade
+    return lambda h: _first_move(dynnikov_act(c, flip_word(n, h) if flipped else h))
 
 
-def dehornoy_oracle(group: BraidGroup, budget: int = DEFAULT_BUDGET) -> SignOracle:
+def dehornoy_oracle(group: BraidGroup) -> SignOracle:
     """The lowest-generator sign ordering; its least positive element is the
     last generator."""
     n = group.strands
 
     def left(g):
-        cascade = _cascade_after(n, g, budget)
+        cascade = _cascade_after(n, g)
         return lambda h: cascade(h)[0]
 
     return SignOracle(
         group=group,
-        fn=lambda w: dehornoy_sign(w, budget),
+        fn=dehornoy_sign,
         descriptor="dehornoy",
         left=left,
     )
@@ -249,7 +232,7 @@ def invert_generators(group: BraidGroup) -> GroupAutomorphism:
     return GroupAutomorphism(group=group, forward=fn, backward=fn, descriptor="invert-gens")
 
 
-def ordering_oracle(group: BraidGroup, index: int, budget: int = DEFAULT_BUDGET) -> SignOracle:
+def ordering_oracle(group: BraidGroup, index: int) -> SignOracle:
     """The ordering whose least positive element is the generator s_index.
 
     Elements of the prefix parabolic on (index + 1) strands are compared by
@@ -261,16 +244,16 @@ def ordering_oracle(group: BraidGroup, index: int, budget: int = DEFAULT_BUDGET)
         raise ValueError(f"generator index out of range: {index}")
 
     def sign_fn(w):
-        s_flip, level = sign_cascade(flip_word(n, w), budget)
+        s_flip, level = sign_cascade(flip_word(n, w))
         if s_flip == 0:
             return 0
         if n - level + 1 <= index + 1:
-            return dehornoy_sign(w, budget)
+            return dehornoy_sign(w)
         return s_flip
 
     def left(g):
-        flipped = _cascade_after(n, g, budget, flipped=True)
-        plain = _cascade_after(n, g, budget)
+        flipped = _cascade_after(n, g, flipped=True)
+        plain = _cascade_after(n, g)
 
         def sign(h):
             s_flip, level = flipped(h)
@@ -285,27 +268,27 @@ def ordering_oracle(group: BraidGroup, index: int, budget: int = DEFAULT_BUDGET)
     return SignOracle(group=group, fn=sign_fn, descriptor=f"least[s{index}]", left=left)
 
 
-def flipped_dehornoy_oracle(group: BraidGroup, budget: int = DEFAULT_BUDGET) -> SignOracle:
+def flipped_dehornoy_oracle(group: BraidGroup) -> SignOracle:
     """The mirror ordering: the plain ordering pushed through the flip.  Its
     least positive element is the first generator, and it coincides with
     ordering_oracle(group, 1)."""
     n = group.strands
 
     def left(g):
-        cascade = _cascade_after(n, g, budget, flipped=True)
+        cascade = _cascade_after(n, g, flipped=True)
         return lambda h: cascade(h)[0]
 
     return SignOracle(
         group=group,
-        fn=lambda w: dehornoy_sign(flip_word(n, w), budget),
+        fn=lambda w: dehornoy_sign(flip_word(n, w)),
         descriptor="flip-dehornoy",
         left=left,
     )
 
 
-def braid_ordering_catalog(group: BraidGroup, budget: int = DEFAULT_BUDGET) -> list:
+def braid_ordering_catalog(group: BraidGroup) -> list:
     """One ordering per generator, least-positive s1 through s(n-1)."""
-    return [ordering_oracle(group, i, budget) for i in range(1, group.strands)]
+    return [ordering_oracle(group, i) for i in range(1, group.strands)]
 
 
 def random_word(rng, strands: int, length: int) -> tuple:

@@ -239,18 +239,18 @@ def _vec_str(v) -> str:
     return "(" + ",".join(str(x) for x in v) + ")"
 
 
-def _braid_oracle(group, name: str, budget: int):
+def _braid_oracle(group, name: str):
     if name == "dehornoy":
-        return dehornoy_oracle(group, budget)
+        return dehornoy_oracle(group)
     if name == "flip":
-        return flipped_dehornoy_oracle(group, budget)
+        return flipped_dehornoy_oracle(group)
     try:
         index = int(name)
     except ValueError:
         raise UsageError(f"unknown ordering {name!r}")
     if not 1 <= index < group.strands:
         raise UsageError(f"ordering index out of range: {name}")
-    return ordering_oracle(group, index, budget)
+    return ordering_oracle(group, index)
 
 
 def _lospace_group(name: str):
@@ -275,14 +275,14 @@ def _klein_params(text: str) -> KleinOrderingParams:
 
 def cmd_braid_sign(args) -> int:
     group = braid_group(args.strands)
-    oracle = _braid_oracle(group, args.ordering, args.budget)
+    oracle = _braid_oracle(group, args.ordering)
     print(SIGN_CHARS[oracle.fn(_parse_braid_word(args.word, args.strands))])
     return 0
 
 
 def cmd_braid_compare(args) -> int:
     group = braid_group(args.strands)
-    oracle = _braid_oracle(group, args.ordering, args.budget)
+    oracle = _braid_oracle(group, args.ordering)
     left = _parse_braid_word(args.left, args.strands)
     right = _parse_braid_word(args.right, args.strands)
     sign = oracle.fn(group.multiply(group.invert(left), right))
@@ -298,7 +298,7 @@ def cmd_braid_reduce(args) -> int:
 
 def cmd_braid_least(args) -> int:
     group = braid_group(args.strands)
-    oracle = _braid_oracle(group, args.ordering, args.budget)
+    oracle = _braid_oracle(group, args.ordering)
     check_ball_size(group, args.radius)
     print(group.label(least_positive_in_ball(oracle, group, args.radius)))
     return 0
@@ -572,16 +572,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strands", type=_int_between(2, MAX_STRANDS), required=True)
     p.add_argument("--word", required=True)
     p.add_argument("--ordering", default="dehornoy")
-    p.add_argument("--budget", type=_non_negative, default=DEFAULT_BUDGET,
-                   help="bound on Dynnikov letter steps per sign")
     p.set_defaults(func=cmd_braid_sign)
     p = braid.add_parser("compare", help="compare two words")
     p.add_argument("--strands", type=_int_between(2, MAX_STRANDS), required=True)
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--ordering", default="dehornoy")
-    p.add_argument("--budget", type=_non_negative, default=DEFAULT_BUDGET,
-                   help="bound on Dynnikov letter steps per sign")
     p.set_defaults(func=cmd_braid_compare)
     p = braid.add_parser("reduce", help="reduce the handles of a word")
     p.add_argument("--strands", type=_int_between(2, MAX_STRANDS), required=True)
@@ -593,8 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strands", type=_int_between(2, MAX_STRANDS), required=True)
     p.add_argument("--radius", type=int, default=3)
     p.add_argument("--ordering", default="dehornoy")
-    p.add_argument("--budget", type=_non_negative, default=DEFAULT_BUDGET,
-                   help="bound on Dynnikov letter steps per sign")
     p.set_defaults(func=cmd_braid_least)
 
     klein = sub.add_parser("klein", help="the four Klein bottle orderings").add_subparsers(

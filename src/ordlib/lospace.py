@@ -43,7 +43,6 @@ __all__ = [
     "extend_partial_cone",
     "separating_element",
     "isolator_member",
-    "isolator_dichotomy_check",
     "condition_star_check",
 ]
 
@@ -101,18 +100,16 @@ class PartialCone:
 
 def _build_clauses(table, lit) -> tuple:
     # positives g, h with gh in the ball force gh positive:
-    # (not g+) or (not h+) or (gh)+
+    # (not g+) or (not h+) or (gh)+.  No clause is a tautology: that needs
+    # gh = 1, which is skipped, or g or h the identity, which is not indexed
     out = set()
     for i in range(1, len(lit)):
         row = table[i]
-        li = lit[i]
+        not_i = -lit[i]
         for j in range(1, len(lit)):
             k = row[j]
-            if k <= 0:
-                continue
-            clause = {-li, -lit[j], lit[k]}
-            if not any(-x in clause for x in clause):
-                out.add(tuple(sorted(clause)))
+            if k > 0:
+                out.add(tuple(sorted({not_i, -lit[j], lit[k]})))
     return tuple(sorted(out))
 
 
@@ -286,22 +283,6 @@ def isolator_member(group: Group, h, g) -> bool:
     if group.is_identity(h):
         return True
     return group.ray(h) in (group.ray(g), group.ray(group.invert(g)))
-
-
-def isolator_dichotomy_check(group: Group, g, h, radius: int):
-    """Either the two isolators share only the identity, or their
-    memberships agree on ball(radius); returns None, or the violating
-    element."""
-    if group.is_identity(g) or group.is_identity(h):
-        raise ValueError("isolator arguments must be nonidentity")
-    ball = group.ball(radius)[1:]
-    in_g = {i for i, f in enumerate(ball) if isolator_member(group, f, g)}
-    in_h = {i for i, f in enumerate(ball) if isolator_member(group, f, h)}
-    if not (in_g & in_h):
-        return None
-    for i in sorted(in_g ^ in_h):
-        return ball[i]
-    return None
 
 
 def condition_star_check(phi, group: Group, radius: int):

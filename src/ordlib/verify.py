@@ -62,6 +62,7 @@ from .lattice import (
     comm_acts_trivially,
     eigen_orderings,
     flag_ordering,
+    is_scalar_star,
     lattice_group,
     matrix_pushforward,
     preserves,
@@ -188,30 +189,32 @@ def suite_least_elements():
 
 
 def suite_handle_robustness():
-    """Random braid words sign within the step budget, signs respect
-    inversion, and comparisons survive renormalization by handle reduction,
-    the engine independent of the Dynnikov signs."""
+    """Random braid word signs respect inversion, and comparisons survive
+    renormalization by handle reduction, the engine independent of the
+    Dynnikov signs.  budget-failures counts the triples whose handle
+    reduction ran out of its budget of reductions; such a triple is
+    skipped."""
     rng = random.Random(SEED)
-    budget_failures = 0
     trichotomy_failures = 0
     for _ in range(SAMPLE_WORDS):
         w = random_word(rng, 4, rng.randint(1, 64))
-        try:
-            s = dehornoy_sign(w)
-            s_inv = dehornoy_sign(tuple(-a for a in reversed(w)))
-        except BudgetExceededError:
-            budget_failures += 1
-            continue
+        s = dehornoy_sign(w)
+        s_inv = dehornoy_sign(tuple(-a for a in reversed(w)))
         if (s, s_inv) not in {(0, 0), (1, -1), (-1, 1)}:
             trichotomy_failures += 1
+    budget_failures = 0
     triple_failures = 0
     for _ in range(SAMPLE_TRIPLES):
         u = random_word(rng, 4, rng.randint(1, 32))
         w1 = random_word(rng, 4, rng.randint(1, 32))
         w2 = random_word(rng, 4, rng.randint(1, 32))
         base = dehornoy_sign(tuple(-a for a in reversed(w1)) + w2)
-        r1 = handle_reduce(u + w1)
-        r2 = handle_reduce(u + w2)
+        try:
+            r1 = handle_reduce(u + w1)
+            r2 = handle_reduce(u + w2)
+        except BudgetExceededError:
+            budget_failures += 1
+            continue
         shifted = dehornoy_sign(tuple(-a for a in reversed(r1)) + r2)
         if base != shifted:
             triple_failures += 1
@@ -332,8 +335,8 @@ def suite_matrix_eigen():
 def suite_scalar_kernel():
     """Positive rational scalars fix every probe flag and satisfy the power
     compatibility condition; ten pinned non-scalar matrices each move a
-    probe flag and break the condition at a concrete vector."""
-    z2 = lattice_group(2)
+    probe flag and break the condition at a concrete vector.  The condition
+    is decided exactly, by is_scalar_star."""
     flags = probe_flags(2)
     passed = True
     facts = {}
@@ -341,17 +344,12 @@ def suite_scalar_kernel():
         c = Fraction(p, q)
         m = ((c, 0), (0, c))
         fixed = all(preserves(m, flag) for flag in flags)
-        star = condition_star_check(lambda v, c=c: tuple(c * x for x in v), z2, 4)
-        ok = fixed and star is None
+        ok = fixed and is_scalar_star(m)[1] is None
         facts[f"scalar[{p}/{q}]"] = "fixed" if ok else "moved"
         passed = passed and ok
     for rows in NON_SCALARS:
         trivial, flag = comm_acts_trivially(rows)
-        star = condition_star_check(
-            lambda v, rows=rows: tuple(
-                sum(Fraction(v[i]) * Fraction(rows[i][j]) for i in range(2))
-                for j in range(2)),
-            z2, 3)
+        star = is_scalar_star(rows)[1]
         ok = not trivial and flag is not None and star is not None
         moved = flag.descriptor() if flag is not None else "none"
         witness = str(star) if star is not None else "none"

@@ -274,7 +274,7 @@ def test_verify_single_suite(capsys):
     ("braid", "reduce", "--strands", "3", "--word", "0,0"),
     ("abelian", "sign", "--flag", "(√3,1)", "--vector", "(1,-2)"),
     ("abelian", "vlo", "--first", "(sqrt5,1)", "--second", "(1,0)", "--d", "3"),
-    ("braid", "sign", "--strands", "4", "--word", "1 2 -1", "--budget", "-5"),
+    ("braid", "reduce", "--strands", "4", "--word", "1 2 -1", "--budget", "-5"),
     ("abelian", "sign", "--flag", "(1,1)", "--vector", "(1,-2)", "--d", "4"),
     ("abelian", "sign", "--flag", "(1,1)", "--vector", "(1,-2)", "--d", "1"),
     ("abelian", "sign", "--flag", "(1,1)", "--vector", "(1,-2)", "--d", "0"),
@@ -304,6 +304,9 @@ def test_usage_errors_exit_two(capsys, argv):
     ("free", "witness", "--probe", "swap", "--degree", "6"),
     ("klein", "kernel", "--m-bound", "2", "--radius", "8"),
     ("lospace", "star", "--group", "z2", "--matrix", "[[2,0],[0,2]]", "--bound", "8"),
+    ("braid", "sign", "--strands", "4", "--word", "1 2 -1", "--budget", "5"),
+    ("braid", "compare", "--strands", "4", "--left", "1", "--right", "2", "--budget", "5"),
+    ("braid", "least", "--strands", "4", "--budget", "5"),
 ])
 def test_removed_options_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as info:
@@ -313,7 +316,7 @@ def test_removed_options_are_rejected(capsys, argv):
 
 
 def test_computational_errors_exit_one(capsys):
-    rc, out = run(capsys, "braid", "sign", "--strands", "3",
+    rc, out = run(capsys, "braid", "reduce", "--strands", "3",
                   "--word", "1 2 -1", "--budget", "0")
     assert rc == 1
     assert out[0].startswith("error: BudgetExceededError: ")

@@ -3,8 +3,7 @@
 The key of g*h is h's letters acting on key(g), and a product's sign is read
 from the coordinates that action produces.  The word path spells g*h,
 reduces it and walks it from the start vector; these tests hold the two
-paths to the same keys, signs, tables, violations and budget refusals, and
-count that the key path spells no product at all.  The G-ordering's hook
+paths to the same keys, signs, tables and violations, and count that the key path spells no product at all.  The G-ordering's hook
 reads the exponents first; it is held to the sign of the full product, and
 counted to build the plane part only where the K exponents cancel.
 """
@@ -26,7 +25,7 @@ from ordlib.braid import (
     dynnikov_coordinates,
     flipped_dehornoy_oracle,
 )
-from ordlib.core import BudgetExceededError, SignOracle, verify_cone_axioms
+from ordlib.core import SignOracle, verify_cone_axioms
 from ordlib.extensions import g_group, g_ordering
 
 BALLS = [(3, 3), (4, 3), (5, 3), (6, 3), (3, 4), (4, 4)]
@@ -37,9 +36,9 @@ LEFT_JOBS = [(oracle, group, radius) for oracle, group, radius in verify._axiom_
              if oracle.left is not None]
 
 
-def _oracles(group, budget=braid.DEFAULT_BUDGET):
-    return ([dehornoy_oracle(group, budget), flipped_dehornoy_oracle(group, budget)]
-            + braid_ordering_catalog(group, budget))
+def _oracles(group):
+    return ([dehornoy_oracle(group), flipped_dehornoy_oracle(group)]
+            + braid_ordering_catalog(group))
 
 
 def _word_only(oracle):
@@ -107,33 +106,6 @@ def test_violations_are_the_word_path_witnesses(max_violations):
     assert len(by_key.violations) == min(max_violations, len(by_word.violations))
     if max_violations == 10**6:
         assert len(by_key.violations) > 100
-
-
-def _outcome(f, *args):
-    try:
-        return f(*args)
-    except BudgetExceededError:
-        return "budget"
-
-
-@pytest.mark.parametrize("budget", [0, 2, 4])
-def test_budget_refusals_match_the_word_path(budget):
-    """The budget bounds the reduced product on both paths: products that
-    cancel down to it are signed, longer ones raise."""
-    group = braid_group(4)
-    ball = group.ball(3)
-    refused = signed = 0
-    for oracle in _oracles(group, budget):
-        for g in ball[::3]:
-            sign_gh = oracle.left_fn(g)
-            for h in ball[::5]:
-                got = _outcome(sign_gh, h)
-                assert got == _outcome(oracle.fn, group.multiply(g, h)), (g, h)
-                refused += got == "budget"
-                signed += got != "budget"
-    assert refused and signed
-    with pytest.raises(BudgetExceededError):
-        verify_cone_axioms(dehornoy_oracle(group, 2), group, 3)
 
 
 def test_key_path_spells_no_product(monkeypatch):

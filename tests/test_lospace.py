@@ -21,7 +21,6 @@ from ordlib.lospace import (
     condition_star_check,
     enumerate_partial_cones,
     extend_partial_cone,
-    isolator_dichotomy_check,
     isolator_member,
 )
 from ordlib.magnus import free_group, reduce_word, swap_generators
@@ -217,17 +216,6 @@ def test_isolator_membership():
     assert isolator_member(F2, (1, 2), (2, 1)) is False
     with pytest.raises(ValueError):
         isolator_member(Z2, (1, 0), (0, 0))
-
-
-def test_isolator_dichotomy():
-    # same line, detected memberships agree
-    assert isolator_dichotomy_check(Z2, (1, 0), (2, 0), 3) is None
-    # transverse lines share only the identity
-    assert isolator_dichotomy_check(Z2, (1, 0), (0, 1), 3) is None
-    assert isolator_dichotomy_check(KLEIN, (0, 1), (0, 2), 3) is None
-    assert isolator_dichotomy_check(KLEIN, (1, 0), (0, 1), 3) is None
-    with pytest.raises(ValueError):
-        isolator_dichotomy_check(Z2, (0, 0), (1, 0), 2)
 
 
 def test_power_agreement_probe():
