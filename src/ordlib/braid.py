@@ -11,11 +11,14 @@ generator the braid genuinely involves.  Because the action is a right
 action, the key of g*h is h's letters acting on key(g), so scans over
 products act on cached keys and never spell, reduce or rewalk g*h.
 
-The resulting ordering has the last generator as its least positive element.
-Composing with the index-reversing flip gives the mirror ordering, whose
-least positive element is the first generator, and grafting the plain
-ordering onto the flip ordering's convex chain of prefix parabolic subgroups
-produces one ordering per generator, each with that generator least.
+The orderings form one family, least[s_i], with one member per generator
+s_i, its least positive element: an element outside the prefix parabolic
+subgroup on i + 1 strands is signed by the cascade of its flipped word (the
+index-reversing automorphism applied), and every other element by the plain
+cascade.  The family's ends are the two classical orderings.  At i = n - 1
+the parabolic is the whole group and the member is the Dehornoy ordering,
+with the last generator least; at i = 1 it is the Dehornoy ordering pushed
+through the flip, with the first generator least.
 
 Handle reduction rewrites words instead: a handle is a subword
 s1^e ... s1^-e with no other occurrence of the first generator between the
@@ -29,6 +32,7 @@ coordinates, which the battery and the tests check them against.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from collections import deque
 
@@ -204,23 +208,6 @@ def _cascade_after(n: int, g, flipped: bool = False):
     return lambda h: _first_move(dynnikov_act(c, flip_word(n, h) if flipped else h))
 
 
-def dehornoy_oracle(group: BraidGroup) -> SignOracle:
-    """The lowest-generator sign ordering; its least positive element is the
-    last generator."""
-    n = group.strands
-
-    def left(g):
-        cascade = _cascade_after(n, g)
-        return lambda h: cascade(h)[0]
-
-    return SignOracle(
-        group=group,
-        fn=dehornoy_sign,
-        descriptor="dehornoy",
-        left=left,
-    )
-
-
 def flip_automorphism(group: BraidGroup) -> GroupAutomorphism:
     n = group.strands
     fn = lambda w: flip_word(n, w)
@@ -235,55 +222,47 @@ def invert_generators(group: BraidGroup) -> GroupAutomorphism:
 def ordering_oracle(group: BraidGroup, index: int) -> SignOracle:
     """The ordering whose least positive element is the generator s_index.
 
-    Elements of the prefix parabolic on (index + 1) strands are compared by
-    the plain cascade; everything else by the cascade of the flipped word.
-    The parabolic is a convex subgroup, lowest in the ordering's chain.
+    Elements outside the prefix parabolic on (index + 1) strands take the
+    cascade of the flipped word; every other element takes the plain
+    cascade.  The parabolic is a convex subgroup, lowest in the ordering's
+    chain.  At index n - 1 it is the whole group, the flipped cascade is
+    never read, and the ordering is the Dehornoy ordering; at index 1 every
+    element outside <s1> takes the flipped cascade, and inside <s1> the two
+    agree, so the ordering is the Dehornoy ordering pushed through the flip.
     """
     n = group.strands
     if not 1 <= index < n:
         raise ValueError(f"generator index out of range: {index}")
 
-    def sign_fn(w):
-        s_flip, level = sign_cascade(flip_word(n, w))
-        if s_flip == 0:
-            return 0
-        if n - level + 1 <= index + 1:
-            return dehornoy_sign(w)
-        return s_flip
-
     def left(g):
-        flipped = _cascade_after(n, g, flipped=True)
         plain = _cascade_after(n, g)
+        if index == n - 1:
+            return lambda h: plain(h)[0]
+        flipped = _cascade_after(n, g, flipped=True)
 
         def sign(h):
-            s_flip, level = flipped(h)
-            if s_flip == 0:
-                return 0
-            if n - level + 1 <= index + 1:
-                return plain(h)[0]
-            return s_flip
+            s, level = flipped(h)
+            # flipped level k is s_(n-k), the highest generator g*h involves
+            if s and n - level > index:
+                return s
+            return plain(h)[0]
 
         return sign
 
-    return SignOracle(group=group, fn=sign_fn, descriptor=f"least[s{index}]", left=left)
+    return SignOracle(group=group, fn=left(()), descriptor=f"least[s{index}]", left=left)
+
+
+def dehornoy_oracle(group: BraidGroup) -> SignOracle:
+    """The Dehornoy ordering: the member of the family whose least positive
+    element is the last generator."""
+    return dataclasses.replace(ordering_oracle(group, group.strands - 1),
+                               descriptor="dehornoy")
 
 
 def flipped_dehornoy_oracle(group: BraidGroup) -> SignOracle:
-    """The mirror ordering: the plain ordering pushed through the flip.  Its
-    least positive element is the first generator, and it coincides with
-    ordering_oracle(group, 1)."""
-    n = group.strands
-
-    def left(g):
-        cascade = _cascade_after(n, g, flipped=True)
-        return lambda h: cascade(h)[0]
-
-    return SignOracle(
-        group=group,
-        fn=lambda w: dehornoy_sign(flip_word(n, w)),
-        descriptor="flip-dehornoy",
-        left=left,
-    )
+    """The Dehornoy ordering pushed through the flip: the member of the
+    family whose least positive element is the first generator."""
+    return dataclasses.replace(ordering_oracle(group, 1), descriptor="flip-dehornoy")
 
 
 def braid_ordering_catalog(group: BraidGroup) -> list:

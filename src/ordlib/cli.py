@@ -112,11 +112,12 @@ class UsageError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises argparse.ArgumentError on a bad option value instead of
-    exiting, so main reports it as a usage error like every other."""
+    """Raises UsageError where argparse would print to stderr and exit, so
+    a bad value, an unrecognized or missing option and an invalid choice
+    reach main as usage errors like every other."""
 
-    def __init__(self, **kwargs):
-        super().__init__(exit_on_error=False, **kwargs)
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _int_arg(text: str) -> int:
@@ -307,7 +308,7 @@ def cmd_braid_least(args) -> int:
 def cmd_klein_orderings(args) -> int:
     group = klein_group()
     check_ball_size(group, args.radius)
-    for oracle in klein_orderings(group):
+    for oracle in klein_orderings():
         signs = " ".join(
             f"{group.label(g)}:{SIGN_CHARS[oracle.sign(g)]}"
             for g in group.ball(args.radius)[1:])
@@ -483,8 +484,8 @@ def cmd_lospace_separate(args) -> int:
     if args.group != "klein":
         raise UsageError("separate supports the klein group")
     group = klein_group()
-    first = klein_ordering(_klein_params(args.first), group)
-    second = klein_ordering(_klein_params(args.second), group)
+    first = klein_ordering(_klein_params(args.first))
+    second = klein_ordering(_klein_params(args.second))
     check_ball_size(group, args.radius)
     g = separating_element(first, second, group, args.radius)
     print(group.label(g) if g is not None else "none")
@@ -515,11 +516,10 @@ def cmd_lospace_star(args) -> int:
         triple = _parse_letters(args.aut)
         if len(triple) != 3:
             raise UsageError("expected --aut e,d,m")
-        phi = KleinAut(*triple).to_automorphism(group)
-    check_ball_size(group, args.radius)
-    witness = condition_star_check(phi, group, args.radius)
+        phi = KleinAut(*triple).to_automorphism()
+    witness = condition_star_check(phi, group)
     if witness is None:
-        print(f"holds (radius {args.radius})")
+        print("holds")
     else:
         print(f"fails at {group.label(witness)}")
     return 0
@@ -676,7 +676,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix")
     p.add_argument("--probe")
     p.add_argument("--aut")
-    p.add_argument("--radius", type=int, default=3)
     p.set_defaults(func=cmd_lospace_star)
 
     p = sub.add_parser("verify", help="run acceptance suites")
@@ -693,7 +692,7 @@ def main(argv=None) -> int:
     except COMPUTE_ERRORS as err:
         print(f"error: {type(err).__name__}: {err}")
         return 1
-    except (ValueError, argparse.ArgumentError) as err:
+    except ValueError as err:
         print(f"usage error: {err}")
         return 2
 

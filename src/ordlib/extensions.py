@@ -120,16 +120,13 @@ def klein_sign(params: KleinOrderingParams, g) -> int:
     return _int_sign(params.s * b) or _int_sign(params.t * a)
 
 
-def klein_ordering(params: KleinOrderingParams,
-                   group: KleinGroup | None = None) -> SignOracle:
-    if group is None:
-        group = klein_group()
-    return SignOracle(group=group, fn=functools.partial(klein_sign, params),
+def klein_ordering(params: KleinOrderingParams) -> SignOracle:
+    return SignOracle(group=klein_group(), fn=functools.partial(klein_sign, params),
                       descriptor=params.descriptor())
 
 
-def klein_orderings(group: KleinGroup | None = None) -> list:
-    return [klein_ordering(p, group) for p in KLEIN_PARAMS]
+def klein_orderings() -> list:
+    return [klein_ordering(p) for p in KLEIN_PARAMS]
 
 
 @dataclass(frozen=True)
@@ -172,11 +169,9 @@ class KleinAut:
     def descriptor(self) -> str:
         return f"klein-aut[{self.eps},{self.delta},{self.m}]"
 
-    def to_automorphism(self, group: KleinGroup | None = None) -> GroupAutomorphism:
-        if group is None:
-            group = klein_group()
+    def to_automorphism(self) -> GroupAutomorphism:
         inv = self.inverse()
-        return GroupAutomorphism(group=group, forward=self.apply,
+        return GroupAutomorphism(group=klein_group(), forward=self.apply,
                                  backward=inv.apply, descriptor=self.descriptor())
 
 
@@ -463,12 +458,10 @@ def k_ordering_sign(u: FormFlag, g) -> int:
     return u.form_sign(v) if any(v) else 0
 
 
-def k_ordering(u: FormFlag, group: ZExtensionGroup | None = None) -> SignOracle:
-    if group is None:
-        group = k_group()
+def k_ordering(u: FormFlag) -> SignOracle:
     if not u.is_total():
         raise TotalityError(f"{u.descriptor()} is not total")
-    return SignOracle(group=group, fn=functools.partial(k_ordering_sign, u),
+    return SignOracle(group=k_group(), fn=functools.partial(k_ordering_sign, u),
                       descriptor=f"k-lex[{u.descriptor()}]")
 
 

@@ -285,17 +285,25 @@ def isolator_member(group: Group, h, g) -> bool:
     return group.ray(h) in (group.ray(g), group.ray(group.invert(g)))
 
 
-def condition_star_check(phi, group: Group, radius: int):
-    """Power agreement on ball(radius): every g needs n, m > 0 with
-    phi(g)^n = g^m, decided exactly by comparing rays.  Returns None when it
-    holds on the ball, else the first g where it fails.
+def condition_star_check(phi, group: Group):
+    """Decide the power condition (*): every g needs n, m > 0 with
+    phi(g)^n = g^m, and each g is decided exactly by comparing rays.
+    Returns None when (*) holds, else the first g of ball(2) where it fails.
+
+    ball(2) decides it for the maps this is used on: an automorphism of a
+    free group that moves some generator's ray fails at the first such
+    generator, and otherwise fixes every ray; a Klein automorphism fails at
+    x or y or nowhere; a linear map v -> vM of Z^n fails at some e_j unless
+    every e_j is an eigenvector with a positive eigenvalue, and then at some
+    e_1 + e_j unless M is a positive scalar.  Balls list elements shortest
+    first, so the witness is the first failure in every larger ball too.
 
     phi may be a GroupAutomorphism, or any callable on elements, so
     commensuration representatives that leave the group (scalar maps on a
     lattice) probe as well.
     """
     fwd = getattr(phi, "forward", phi)
-    for g in group.ball(radius)[1:]:
+    for g in group.ball(2)[1:]:
         if group.ray(fwd(g)) != group.ray(g):
             return g
     return None

@@ -130,7 +130,7 @@ def _mat_key(rows) -> str:
 
 def _axiom_jobs():
     kg = klein_group()
-    for oracle in klein_orderings(kg):
+    for oracle in klein_orderings():
         yield oracle, kg, 8
     z2 = lattice_group(2)
     root = QuadRat.root(2)
@@ -255,7 +255,7 @@ def suite_klein_four():
     restriction of one of the four total orderings, and those restrictions
     are already distinguishable at radius 2."""
     kg = klein_group()
-    orderings = klein_orderings(kg)
+    orderings = klein_orderings()
     restrictions = [PartialCone.from_oracle(P, kg, 6) for P in orderings]
     cones = enumerate_partial_cones(kg, 6)
     extendable = 0
@@ -379,7 +379,7 @@ def suite_free_probes():
     facts = {"series-bi-invariant(3)": "yes" if bi is None else "no"}
     for name, phi in probes:
         hit = distinguishing_witness(phi, catalog, f2, 3)
-        star = condition_star_check(phi, f2, 3)
+        star = condition_star_check(phi, f2)
         if hit is None:
             facts[f"{name}/witness"] = "none"
         else:

@@ -96,7 +96,7 @@ def test_klein_signs():
 
 
 def test_four_orderings_are_orderings_and_distinct():
-    orderings = klein_orderings(KLEIN)
+    orderings = klein_orderings()
     assert [o.descriptor for o in orderings] == [
         "klein[++]", "klein[+-]", "klein[-+]", "klein[--]"]
     for oracle in orderings:
@@ -107,7 +107,7 @@ def test_four_orderings_are_orderings_and_distinct():
 
 def test_kernel_subgroup_is_convex_in_all_four():
     member = lambda g: g[1] == 0
-    for oracle in klein_orderings(KLEIN):
+    for oracle in klein_orderings():
         assert check_convex_in_ball(member, oracle, KLEIN, 4) is None
 
 
@@ -119,7 +119,7 @@ def test_klein_aut_family():
     with pytest.raises(ValueError):
         KleinAut(2, 1, 0)
     assert phi.compose(phi.inverse()) == KleinAut(1, 1, 0)
-    auto = phi.to_automorphism(KLEIN)
+    auto = phi.to_automorphism()
     for g in KLEIN.ball(3):
         assert auto.backward(auto.forward(g)) == g
     assert len(list(klein_family(2))) == 20
@@ -137,10 +137,10 @@ def test_inner_automorphisms_sit_in_the_family():
 
 def test_label_action_matches_pushforward():
     for phi in (KleinAut(-1, 1, 0), KleinAut(1, -1, 2), KleinAut(-1, -1, 1)):
-        auto = phi.to_automorphism(KLEIN)
+        auto = phi.to_automorphism()
         for params in KLEIN_PARAMS:
-            pushed = act_automorphism(auto, klein_ordering(params, KLEIN))
-            target = klein_ordering(phi.action_on_labels(params), KLEIN)
+            pushed = act_automorphism(auto, klein_ordering(params))
+            target = klein_ordering(phi.action_on_labels(params))
             assert separating_element(pushed, target, KLEIN, 3) is None
 
 

@@ -78,14 +78,14 @@ def test_klein_radius_six_cones_are_the_four_orderings():
     cones = enumerate_partial_cones(KLEIN, 6)
     assert len(cones) == 4
     restrictions = {PartialCone.from_oracle(o, KLEIN, 6).signs
-                    for o in klein_orderings(KLEIN)}
+                    for o in klein_orderings()}
     assert {c.signs for c in cones} == restrictions
     for cone in cones:
         assert len(extend_partial_cone(cone, KLEIN, 8)) == 1
 
 
 def test_partial_cone_accessors():
-    oracle = klein_orderings(KLEIN)[0]
+    oracle = klein_orderings()[0]
     cone = PartialCone.from_oracle(oracle, KLEIN, 3)
     for g in cone.elements():
         assert cone.sign(g) == oracle.sign(g)
@@ -219,16 +219,16 @@ def test_isolator_membership():
 
 
 def test_power_agreement_probe():
-    assert condition_star_check(lambda g: (2 * g[0], 2 * g[1]), Z2, 3) is None
+    assert condition_star_check(lambda g: (2 * g[0], 2 * g[1]), Z2) is None
     shear = lambda g: (g[0] + g[1], g[1])
-    assert condition_star_check(shear, Z2, 3) == (0, 1)
-    flip = KleinAut(1, -1, 0).to_automorphism(KLEIN)
-    assert condition_star_check(flip, KLEIN, 3) == (1, 0)
-    assert condition_star_check(swap_generators(F2), F2, 2) == (1,)
+    assert condition_star_check(shear, Z2) == (0, 1)
+    flip = KleinAut(1, -1, 0).to_automorphism()
+    assert condition_star_check(flip, KLEIN) == (1, 0)
+    assert condition_star_check(swap_generators(F2), F2) == (1,)
     # scalar 9 needs an exponent of 9; scalar 1/2 has Fraction images
     for c in (1, 9, Fraction(1, 2)):
         scalar = mat_from_rows([[c, 0], [0, c]])
-        assert condition_star_check(lambda v: row_times_mat(v, scalar), Z2, 3) is None
+        assert condition_star_check(lambda v: row_times_mat(v, scalar), Z2) is None
 
 
 def _powers(group, g, bound=12):
