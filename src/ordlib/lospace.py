@@ -9,13 +9,19 @@ Klein group's four orderings exhausting what radius-6 data allows.  A cone
 is stored as one sign per element of ``ball(radius)[1:]``, in canonical
 ball order; the ball's key index says which element each sign belongs to.
 
-Enumeration is a small backtracking solver: one boolean per inverse pair,
-three-literal clauses from the ball's product table, unit propagation, and
-positive-first branching so the output comes back in a canonical order.
-The clause index is built once per ball and shared by every enumeration
-and extension on it; it is dropped with the ball, so the group's ball
-cache bounds it.  Each search keeps only its own assignment, trail and
-node count.
+Enumeration is a small backtracking solver with one boolean per inverse
+pair.  Each product gh = k in the ball gives the triple (g, h, k^-1) with
+product 1 and the clause "not all three positive"; the clause is built
+once per rotation class of its triple.  Literals are integer codes, and
+the clause index is one flat list per literal holding the other two codes
+of each clause that contains it, so a new assignment reads only the
+clauses of the literal it makes false.  Propagation runs on one array of
+literal values, and branching is positive-first, so the output comes back
+in a canonical order; each solution is kept as a byte copy of that array,
+and a cone's signs are read off it with one itemgetter.  The clause index is built once per ball and shared by
+every enumeration and extension on it; it is dropped with the ball, so the
+group's ball cache bounds it.  Each search keeps only its own value array,
+trail and node count.
 
 Isolator membership and the power-agreement condition are exact: both
 compare the groups' ray keys, which are equal exactly when two elements
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .core import (
     BallData,
@@ -98,19 +105,59 @@ class PartialCone:
             for g, s in zip(self.elements(), self.signs))
 
 
-def _build_clauses(table, lit) -> tuple:
-    # positives g, h with gh in the ball force gh positive:
-    # (not g+) or (not h+) or (gh)+.  No clause is a tautology: that needs
-    # gh = 1, which is skipped, or g or h the identity, which is not indexed
-    out = set()
-    for i in range(1, len(lit)):
+def _code(x: int) -> int:
+    """The code of signed 1-based literal x: 2v for v+1, 2v + 1 for -(v+1)."""
+    return 2 * x - 2 if x > 0 else -2 * x - 1
+
+
+def _build_clauses(table, lit) -> list:
+    """Watch lists over literal codes: literal v+1 ("variable v is +1")
+    has code 2v and its negation 2v + 1, so code ^ 1 negates, and code
+    2 * nvars is always false.  watch[c] holds, two codes per clause, the
+    other literals of every clause that contains c.
+
+    Positives g, h with gh = k in the ball force k positive, so the triple
+    (g, h, m = k^-1), with g h m = 1, gives the clause "g, h and m are not
+    all positive".  Its rotations give the same clause, and so does the
+    reversed triple (g, m, h) where that is a triple too, as in an abelian
+    group; the clause is added from the triple's least rotation unless the
+    reversed triple's sorts first.  A triple that repeats an element (g = h
+    or h = m) gives a two-literal clause, padded with the false code.  No
+    clause is a tautology: that needs one of g, h, m to be the identity,
+    which is not indexed, or two of them mutually inverse, which makes the
+    third the identity.
+    """
+    n = len(lit)
+    nvars = max(lit, default=0)
+    false = 2 * nvars
+    where = {x: i for i, x in enumerate(lit)}
+    inv = [where[-x] for x in lit]
+    # neg[i]: the code of "element i is not positive"
+    neg = [_code(-x) for x in lit]
+    watch = [[] for _ in range(false)]
+    for i in range(1, n):
         row = table[i]
-        not_i = -lit[i]
-        for j in range(1, len(lit)):
+        a = neg[i]
+        for j in range(i, n):
             k = row[j]
-            if k > 0:
-                out.add(tuple(sorted({not_i, -lit[j], lit[k]})))
-    return tuple(sorted(out))
+            if k <= 0:
+                continue
+            m = inv[k]
+            # (i, j, m) must be the least rotation (j >= i holds), and the
+            # reversed (i, m, j) must not be a smaller triple of the clause;
+            # with m = i < j that is the rotation (i, i, j)
+            if m < i or (m < j and row[m] == inv[j]):
+                continue
+            b, c = neg[j], neg[m]
+            if b == c:
+                c = false
+            elif a == b:
+                b, c = c, false
+            watch[a] += (b, c)
+            watch[b] += (a, c)
+            if c != false:
+                watch[c] += (a, b)
+    return watch
 
 
 class _ClauseIndex:
@@ -124,22 +171,22 @@ class _ClauseIndex:
         self.impossible = any(inv[i] == i for i in range(1, n))
         # lit[i]: signed 1-based variable literal meaning "element i is positive"
         lit = [0] * n
-        reps = []
+        nvars = 0
         for i in range(1, n):
-            if lit[i]:
-                continue
-            v = len(reps) + 1
-            lit[i] = v
-            lit[inv[i]] = -v
-            reps.append(i)
-        self.lit = tuple(lit)
-        self.reps = tuple(reps)
-        self.clauses = _build_clauses(data.product_table(), self.lit)
-        adj = [[] for _ in reps]
-        for ci, clause in enumerate(self.clauses):
-            for x in clause:
-                adj[abs(x) - 1].append(ci)
-        self.adj = tuple(map(tuple, adj))
+            if not lit[i]:
+                nvars += 1
+                lit[i] = nvars
+                lit[inv[i]] = -nvars
+        self.nvars = nvars
+        # code[i]: the literal code of "element i is positive"
+        self.code = tuple(map(_code, lit))
+        codes = self.code[1:]
+        # one cone's signs, read off a solution's literal values; itemgetter
+        # returns a tuple only for two or more codes, and ball(0) has none
+        self.signs = (itemgetter(*codes) if len(codes) > 1
+                      else lambda val: tuple(val[c] for c in codes))
+        # an element that is its own inverse leaves no cone to search for
+        self.watch = [] if self.impossible else _build_clauses(data.product_table(), lit)
 
 
 # one clause index per ball, dropped with the ball, so the group's ball
@@ -161,54 +208,56 @@ def _clause_index(group: Group, radius: int) -> _ClauseIndex:
 
 class _ConeSearch:
     """One search's solver state over the shared clause index of a ball:
-    the assignment, its trail, and the nodes spent against node_limit."""
+    the literal values (1 true, -1 false, 0 unassigned, by code), the trail
+    of codes set true, and the nodes spent against node_limit."""
 
     def __init__(self, group: Group, radius: int, node_limit: int):
         self.group = group
         self.radius = radius
         index = _clause_index(group, radius)
         self.impossible = index.impossible
-        self.lit, self.reps = index.lit, index.reps
-        self.clauses, self.adj = index.clauses, index.adj
+        self.nvars, self.code = index.nvars, index.code
+        self.watch, self.signs = index.watch, index.signs
         self.limit = node_limit
         self.nodes = 0
-        self.assign = [0] * len(self.reps)
+        # signed bytes, so a solution is kept as a copy of a byte per literal:
+        # a search stopped at its node limit may hold one for every few nodes
+        self.val = memoryview(bytearray(2 * self.nvars + 1)).cast("b")
+        self.val[2 * self.nvars] = -1
         self.trail = []
 
     def _propagate(self, pending: list) -> bool:
-        assign, trail, clauses, adj = self.assign, self.trail, self.clauses, self.adj
+        """Set each pending code true and whatever that forces; False on a
+        conflict.  Only the clauses of a literal just made false are read:
+        one with its other two literals false is a conflict, and one with
+        one false and one unassigned forces the unassigned one."""
+        val, trail, watch = self.val, self.trail, self.watch
         while pending:
-            v, val = pending.pop()
-            cur = assign[v]
+            c = pending.pop()
+            cur = val[c]
             if cur:
-                if cur != val:
+                if cur < 0:
                     return False
                 continue
             self.nodes += 1
             if self.nodes > self.limit:
                 raise SizeLimitError(
                     f"cone search exceeded {self.limit} nodes")
-            assign[v] = val
-            trail.append(v)
-            for ci in adj[v]:
-                # a clause with every literal false is a conflict, and one
-                # with a single unassigned literal and no true one forces it
-                free = None
-                for lit in clauses[ci]:
-                    x = assign[abs(lit) - 1]
-                    if x == 0:
-                        if free is not None:
-                            break
-                        free = lit
-                    elif (x > 0) == (lit > 0):
-                        break
-                else:
-                    if free is None:
+            val[c] = 1
+            val[c ^ 1] = -1
+            trail.append(c)
+            others = iter(watch[c ^ 1])
+            for a, b in zip(others, others):
+                s = val[a] + val[b]
+                if s < 0:
+                    if s == -2:
                         return False
-                    pending.append((abs(free) - 1, 1 if free > 0 else -1))
+                    pending.append(b if val[a] else a)
         return True
 
     def solutions(self, preset, max_results=None) -> list:
+        """The literal values of every solution extending the preset codes,
+        in canonical order."""
         if self.impossible:
             return []
         out = []
@@ -217,25 +266,26 @@ class _ConeSearch:
         return out
 
     def _dfs(self, start: int, out: list, max_results):
+        val, trail = self.val, self.trail
         v = start
-        while v < len(self.reps) and self.assign[v]:
+        while v < self.nvars and val[2 * v]:
             v += 1
-        if v == len(self.reps):
-            out.append(tuple(self.assign))
+        if v == self.nvars:
+            out.append(val.tobytes())
             return
-        for val in (1, -1):
-            mark = len(self.trail)
-            if self._propagate([(v, val)]):
+        for c in (2 * v, 2 * v + 1):
+            mark = len(trail)
+            if self._propagate([c]):
                 self._dfs(v + 1, out, max_results)
-            while len(self.trail) > mark:
-                self.assign[self.trail.pop()] = 0
+            while len(trail) > mark:
+                t = trail.pop()
+                val[t] = val[t ^ 1] = 0
             if max_results is not None and len(out) >= max_results:
                 return
 
-    def cone(self, assignment: tuple) -> PartialCone:
-        signs = [assignment[v - 1] if v > 0 else -assignment[-v - 1]
-                 for v in self.lit[1:]]
-        return PartialCone(self.group, self.radius, tuple(signs))
+    def cone(self, solution: bytes) -> PartialCone:
+        signs = self.signs(memoryview(solution).cast("b"))
+        return PartialCone(self.group, self.radius, signs)
 
 
 def _check_max_results(max_results) -> None:
@@ -270,8 +320,8 @@ def extend_partial_cone(cone: PartialCone, group: Group, radius2: int,
         if idx is None:
             raise ValueError(
                 f"cone element {group.label(g)} is missing from ball({radius2})")
-        lit = search.lit[idx]
-        preset.append((abs(lit) - 1, s if lit > 0 else -s))
+        code = search.code[idx]
+        preset.append(code if s > 0 else code ^ 1)
     return [search.cone(a) for a in search.solutions(preset, max_results)]
 
 

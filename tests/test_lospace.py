@@ -1,8 +1,10 @@
 """Partial-cone enumeration checked against brute force, the clause index
-shared by every search on a ball, plus the exact isolator and
+shared by every search on a ball and checked against the product table's
+clauses, pinned solver node counts, plus the exact isolator and
 power-agreement checks, whose ray keys are compared with a bounded power
 search."""
 
+import collections
 import gc
 import itertools
 import random
@@ -186,6 +188,61 @@ def test_enumeration_stops_at_max_results():
         assert enumerate_partial_cones(Z2, 2, max_results=k) == cones[:k]
     with pytest.raises(ValueError, match="max_results must be at least 1"):
         enumerate_partial_cones(Z2, 2, max_results=0)
+
+
+# (group, radius, solver nodes, cones) of a full enumeration
+SOLVER_WORK = [
+    (KLEIN, 8, 160, 4),
+    (Z2, 5, 214, 40),
+    (lattice_group(3), 3, 1_142, 336),
+    (F2, 3, 602, 216),
+    (F2, 4, 38_120, 15_768),
+    (braid_group(3), 4, 994, 240),
+    (braid_group(4), 3, 12_464, 4_592),
+]
+WORK_IDS = ["Klein-8", "Z2-5", "Z3-3", "F2-3", "F2-4", "B3-4", "B4-3"]
+
+
+def _signed(code: int) -> int:
+    """The signed 1-based variable literal of a literal code."""
+    v = (code >> 1) + 1
+    return -v if code & 1 else v
+
+
+@pytest.mark.parametrize("group,radius,nodes,count", SOLVER_WORK, ids=WORK_IDS)
+def test_watch_lists_hold_each_product_clause_once(group, radius, nodes, count):
+    """Decoded back into literal sets, the watch lists are exactly the
+    clauses of the product table, each listed once under each of its
+    literals."""
+    index = lospace._clause_index(group, radius)
+    lit = [_signed(c) for c in index.code]
+    table = group.ball_data(radius).product_table()
+    n = len(lit)
+    brute = {frozenset({-lit[i], -lit[j], lit[table[i][j]]})
+             for i in range(1, n) for j in range(1, n) if table[i][j] > 0}
+    false = 2 * index.nvars
+    entries = collections.Counter()
+    for f, others in enumerate(index.watch):
+        for a, b in zip(others[::2], others[1::2]):
+            clause = frozenset(_signed(c) for c in (f, a, b) if c != false)
+            entries[_signed(f), clause] += 1
+    assert set(entries.values()) == {1}
+    assert set(entries) == {(x, clause) for clause in brute for x in clause}
+
+
+@pytest.mark.parametrize("group,radius,nodes,count", SOLVER_WORK, ids=WORK_IDS)
+def test_solver_work_is_pinned(group, radius, nodes, count):
+    search = lospace._ConeSearch(group, radius, lospace.DEFAULT_NODE_LIMIT)
+    assert len(search.solutions(())) == count
+    assert search.nodes == nodes
+
+
+@pytest.mark.parametrize("group", [Z2, F2, KLEIN], ids=["Z2", "F2", "Klein"])
+def test_radius_zero_has_one_empty_cone(group):
+    cones = enumerate_partial_cones(group, 0)
+    assert [c.signs for c in cones] == [()]
+    extended = extend_partial_cone(cones[0], group, 1)
+    assert [c.signs for c in extended] == [c.signs for c in enumerate_partial_cones(group, 1)]
 
 
 def test_clause_index_leaves_with_its_ball():
