@@ -192,7 +192,7 @@ class BraidGroup(WordGroup):
     def key(self, g) -> tuple:
         return dynnikov_coordinates(self.strands, g)
 
-    def key_times(self, key_g, g, h) -> tuple:
+    def key_times(self, key_g, h) -> tuple:
         return dynnikov_act(key_g, h)
 
 

@@ -70,9 +70,18 @@ class BallData:
 
     ``keys[i]`` is the key of ``elements[i]``, and ``pos`` maps each key to
     its index, so any representative of a ball element is found in one
-    lookup.  The product table finds each product's key with the group's
-    ``key_times`` from the cached key of its left factor.  Element 0 must
-    be the identity, and no other element may be.
+    lookup.  Element 0 must be the identity, and no other element may be.
+
+    The product table walks the ball's spanning tree.  On a word-metric
+    ball every element j > 0 is elements[p]*a for an earlier element p and
+    a generator letter a, so g*elements[j] is one letter step from the cell
+    g*elements[p] that its row already holds.  A step from a cell inside
+    the ball is a lookup in the step table, which lists elements[k]*a for
+    every k and letter a once per ball; a step from a cell outside it acts
+    with ``key_times`` on that cell's key, which the row keeps.  Elements
+    with no parent in the ball, and every element of a group that lists no
+    ``generators``, take ``key_times`` of the row's key and the whole
+    element.
 
     The ball refers to its group weakly: the group's ball cache holds the
     ball, so a strong reference back would make a cycle, and a dropped
@@ -121,10 +130,52 @@ class BallData:
         """table[i][j] = index of elements[i]*elements[j] in the ball, or -1."""
         if self._products is None:
             grp = self.group
-            elems = self.elements
-            pos, key_times = self.pos, grp.key_times
-            table = [[pos.get(key_times(kg, g, h), -1) for h in elems]
-                     for g, kg in zip(elems, self.keys)]
+            elems, keys, pos, key_times = self.elements, self.keys, self.pos, grp.key_times
+            n = len(elems)
+            letters = [x for g in grp.generators for x in (g, grp.invert(g))]
+            # step[k][a]: index of elements[k]*letters[a], or -1; its key is
+            # stepped[k][a]
+            stepped = [[key_times(key_k, a) for a in letters] for key_k in keys]
+            step = [[pos.get(key, -1) for key in row] for row in stepped]
+            # the spanning tree: j's parent is the first k < j with a letter
+            # taking elements[k] to elements[j]
+            parent = [None] * n
+            for k, srow in enumerate(step):
+                for a, j in enumerate(srow):
+                    if j > k and parent[j] is None:
+                        parent[j] = (k, a)
+            roots = [j for j in range(1, n) if parent[j] is None]
+            tree = [(j, *pa) for j, pa in enumerate(parent) if pa is not None]
+            # key of each row's cell that fell outside the ball; a column is
+            # read only after this row has written it
+            row_keys = [None] * n
+            table = []
+            for i, kg in enumerate(keys):
+                row = [-1] * n
+                row[0] = i
+                for j in roots:
+                    key = key_times(kg, elems[j])
+                    c = pos.get(key, -1)
+                    if c >= 0:
+                        row[j] = c
+                    else:
+                        row_keys[j] = key
+                for j, p, a in tree:
+                    m = row[p]
+                    if m >= 0:
+                        c = step[m][a]
+                        if c >= 0:
+                            row[j] = c
+                        else:
+                            row_keys[j] = stepped[m][a]
+                    else:
+                        key = key_times(row_keys[p], letters[a])
+                        c = pos.get(key, -1)
+                        if c >= 0:
+                            row[j] = c
+                        else:
+                            row_keys[j] = key
+                table.append(row)
             self._products = table
         return self._products
 
@@ -185,10 +236,12 @@ class Group(ABC):
     def key(self, g):
         return g
 
-    def key_times(self, key_g, g, h):
-        """key(g*h), given key_g = key(g).  Groups whose keys carry a right
-        action of the group override this to act on key_g."""
-        return self.key(self.multiply(g, h))
+    def key_times(self, key_g, h):
+        """key(g*h), given only key_g = key(g).  The default multiplies key_g
+        itself, which is right only where key(g) == g; a group whose key is
+        not the element overrides this to act on key_g, as braids act on
+        their Dynnikov coordinates."""
+        return self.key(self.multiply(key_g, h))
 
     def same(self, g, h) -> bool:
         return g == h or self.key(g) == self.key(h)

@@ -28,7 +28,7 @@ from ordlib.core import (
     separating_element,
     verify_cone_axioms,
 )
-from ordlib.extensions import g_group, k_group, klein_group, rational_plane
+from ordlib.extensions import KleinGroup, g_group, k_group, klein_group, rational_plane
 from ordlib.lattice import LatticeGroup, flag_ordering, lattice_group, matrix_automorphism
 from ordlib.magnus import FreeGroup, free_group
 
@@ -196,6 +196,61 @@ class _NoGenerators(Group):
 def test_a_group_without_generators_or_a_walk_has_no_ball():
     with pytest.raises(NotImplementedError, match="no generators"):
         _NoGenerators().ball(1)
+
+
+def _fresh_table_ball(group, radius) -> BallData:
+    """A new BallData on the group's ball, so its table is built here even
+    when the group's cached ball already holds one."""
+    return BallData(group, radius, group.ball(radius))
+
+
+# Z^2 and Z^3 have cells that return to the ball after their parent cell
+# left it: in Z^2 ball(3), (0,3)*(1,-1) = (1,2) is reached through (1,3).
+# Q^2, K and G list no generators, so every cell of theirs takes the
+# fallback.
+TABLE_CASES = [
+    (klein_group(), 8), (Z2, 3), (Z2, 5), (lattice_group(3), 3), (free_group(2), 3),
+    (braid_group(3), 4), (braid_group(4), 3), (Z2, 0), (braid_group(3), 0),
+    (rational_plane(), 2), (k_group(), 2), (g_group(), 2),
+]
+
+
+@pytest.mark.parametrize("group,radius", TABLE_CASES,
+                         ids=[f"{g.name}-{r}" for g, r in TABLE_CASES])
+def test_product_table_matches_spelt_products(group, radius):
+    """Every cell of the walked table is the index of the spelt product's
+    key, or -1."""
+    data = _fresh_table_ball(group, radius)
+    elems, pos = data.elements, data.pos
+    assert data.product_table() == [
+        [pos.get(group.key(group.multiply(g, h)), -1) for h in elems] for g in elems]
+
+
+# key_times calls of one product_table(): the step table, one per element
+# and letter, plus one per cell whose tree parent fell outside the ball
+TABLE_WORK = [
+    (BraidGroup(3), 5, 47_806), (BraidGroup(4), 3, 11_644), (KleinGroup(), 16, 124_244),
+    (LatticeGroup(3), 4, 8_566), (FreeGroup(2), 4, 20_084),
+]
+
+
+@pytest.mark.parametrize("group,radius,calls", TABLE_WORK,
+                         ids=[f"{g.name}-{r}" for g, r, _ in TABLE_WORK])
+def test_product_table_work_is_pinned(group, radius, calls):
+    """Counted, not timed, on a group of its own: one table calls key_times
+    exactly this often.  Computing every cell from its row's key would take
+    len(ball)^2 calls."""
+    data = group.ball_data(radius)
+    count = [0]
+    key_times = group.key_times
+
+    def counted(key_g, h):
+        count[0] += 1
+        return key_times(key_g, h)
+
+    group.key_times = counted
+    data.product_table()
+    assert count[0] == calls < len(data.elements) ** 2
 
 
 def test_sign_at_identity_raises():

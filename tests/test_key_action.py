@@ -8,9 +8,14 @@ reads the exponents first; it is held to the sign of the full product, and
 counted to build the plane part only where the K exponents cancel.
 """
 
+import importlib
+import inspect
+import pkgutil
 import random
 
 import pytest
+
+import ordlib
 
 import ordlib.braid as braid
 import ordlib.extensions as extensions
@@ -25,7 +30,7 @@ from ordlib.braid import (
     dynnikov_coordinates,
     flipped_dehornoy_oracle,
 )
-from ordlib.core import SignOracle, verify_cone_axioms
+from ordlib.core import Group, SignOracle, verify_cone_axioms
 from ordlib.extensions import g_group, g_ordering
 
 BALLS = [(3, 3), (4, 3), (5, 3), (6, 3), (3, 4), (4, 4)]
@@ -69,7 +74,7 @@ def test_key_path_matches_the_word_path(strands, radius):
         i, j = rng.randrange(len(elems)), rng.randrange(len(elems))
         g, h = elems[i], elems[j]
         gh = group.multiply(g, h)
-        assert group.key_times(keys[i], g, h) == group.key(gh)
+        assert group.key_times(keys[i], h) == group.key(gh)
         for oracle in oracles:
             assert oracle.left_fn(g)(h) == oracle.fn(gh), (oracle.descriptor, g, h)
     table = data.product_table()
@@ -77,6 +82,39 @@ def test_key_path_matches_the_word_path(strands, radius):
         g = elems[i]
         assert table[i] == [data.pos.get(group.key(group.multiply(g, h)), -1)
                             for h in elems]
+
+
+def _owner(cls, name):
+    """The class in cls's MRO that defines name."""
+    return next(c for c in cls.__mro__ if name in vars(c))
+
+
+def _acts_on_its_key(cls) -> bool:
+    """key_times is defined where key is, or below it: the default
+    multiplies the key itself, which is right only where key(g) == g."""
+    return issubclass(_owner(cls, "key_times"), _owner(cls, "key"))
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_group_with_its_own_key_acts_on_it():
+    for info in pkgutil.iter_modules(ordlib.__path__):
+        importlib.import_module(f"ordlib.{info.name}")
+    groups = {c for c in _subclasses(Group)
+              if c.__module__.startswith("ordlib.") and not inspect.isabstract(c)}
+    assert BraidGroup in groups and len(groups) >= 8
+    assert [c.__name__ for c in groups if not _acts_on_its_key(c)] == []
+
+    # the check does catch a key without its action
+    class Rekeyed(BraidGroup):
+        def key(self, g):
+            return ("rekeyed",) + super().key(g)
+
+    assert not _acts_on_its_key(Rekeyed)
 
 
 def _parity(w) -> int:
