@@ -138,13 +138,18 @@ def dynnikov_act(c, word) -> tuple:
     """Coordinates c acted on by a braid word, letters left to right.
 
     The letter s_i^{+-1} rewrites (a_i, b_i, a_{i+1}, b_{i+1}) alone, by
-    Dynnikov's piecewise-linear formulas.  This is a right action, so
-    dynnikov_act(dynnikov_act(c, u), v) == dynnikov_act(c, u + v).
+    Dynnikov's piecewise-linear formulas, read and written back in place.
+    This is a right action, so
+    dynnikov_act(dynnikov_act(c, u), v) == dynnikov_act(c, u + v).  word
+    may be any iterable of letters, read once.
     """
     c = list(c)
     for x in word:
         k = 2 * abs(x) - 2
-        a, b, a2, b2 = c[k:k + 4]
+        a = c[k]
+        b = c[k + 1]
+        a2 = c[k + 2]
+        b2 = c[k + 3]
         bp = b if b > 0 else 0
         bm = b - bp
         b2p = b2 if b2 > 0 else 0
@@ -153,14 +158,18 @@ def dynnikov_act(c, word) -> tuple:
             t = a - bm - a2 + b2p
             tp = t if t > 0 else 0
             u, v = b2p - t, bm + t
-            c[k:k + 4] = (a + bp + (u if u > 0 else 0), b2 - tp,
-                          a2 + b2m + (v if v < 0 else 0), b + tp)
+            c[k] = a + bp + (u if u > 0 else 0)
+            c[k + 1] = b2 - tp
+            c[k + 2] = a2 + b2m + (v if v < 0 else 0)
+            c[k + 3] = b + tp
         else:
             t = a + bm - a2 - b2p
             tm = t if t < 0 else 0
             u, v = b2p + t, bm - t
-            c[k:k + 4] = (a - bp - (u if u > 0 else 0), b2 + tm,
-                          a2 - b2m - (v if v < 0 else 0), b - tm)
+            c[k] = a - bp - (u if u > 0 else 0)
+            c[k + 1] = b2 + tm
+            c[k + 2] = a2 - b2m - (v if v < 0 else 0)
+            c[k + 3] = b - tm
     return tuple(c)
 
 
@@ -201,11 +210,23 @@ def braid_group(strands: int) -> BraidGroup:
     return BraidGroup(strands)
 
 
+@functools.cache
+def _flip_letters(n: int) -> tuple:
+    """The flip on letters as a lookup: the entry at index a is
+    flip_word(n, (a,))[0], negative letters indexing from the end."""
+    return (0,) + tuple(range(n - 1, 0, -1)) + tuple(range(-1, -n, -1))
+
+
 def _cascade_after(n: int, g, flipped: bool = False):
     """h -> sign_cascade(g*h), or of flip(g*h) when flipped: h's letters act
-    on g's coordinates, which are computed once."""
-    c = dynnikov_coordinates(n, flip_word(n, g) if flipped else g)
-    return lambda h: _first_move(dynnikov_act(c, flip_word(n, h) if flipped else h))
+    on g's coordinates, which are computed once.  Flipped letters are looked
+    up one at a time as they act, so no flipped word is spelt."""
+    if not flipped:
+        c = dynnikov_coordinates(n, g)
+        return lambda h: _first_move(dynnikov_act(c, h))
+    flip = _flip_letters(n).__getitem__
+    c = dynnikov_coordinates(n, map(flip, g))
+    return lambda h: _first_move(dynnikov_act(c, map(flip, h)))
 
 
 def flip_automorphism(group: BraidGroup) -> GroupAutomorphism:
@@ -219,20 +240,10 @@ def invert_generators(group: BraidGroup) -> GroupAutomorphism:
     return GroupAutomorphism(group=group, forward=fn, backward=fn, descriptor="invert-gens")
 
 
-def ordering_oracle(group: BraidGroup, index: int) -> SignOracle:
-    """The ordering whose least positive element is the generator s_index.
-
-    Elements outside the prefix parabolic on (index + 1) strands take the
-    cascade of the flipped word; every other element takes the plain
-    cascade.  The parabolic is a convex subgroup, lowest in the ordering's
-    chain.  At index n - 1 it is the whole group, the flipped cascade is
-    never read, and the ordering is the Dehornoy ordering; at index 1 every
-    element outside <s1> takes the flipped cascade, and inside <s1> the two
-    agree, so the ordering is the Dehornoy ordering pushed through the flip.
-    """
-    n = group.strands
-    if not 1 <= index < n:
-        raise ValueError(f"generator index out of range: {index}")
+@functools.cache
+def _ordering_hooks(n: int, index: int) -> tuple:
+    """(fn, left) of least[s_index] on n strands, built once, so that every
+    oracle of this ordering shares them whatever its name."""
 
     def left(g):
         plain = _cascade_after(n, g)
@@ -249,19 +260,40 @@ def ordering_oracle(group: BraidGroup, index: int) -> SignOracle:
 
         return sign
 
-    return SignOracle(group=group, fn=left(()), descriptor=f"least[s{index}]", left=left)
+    return left(()), left
+
+
+def ordering_oracle(group: BraidGroup, index: int) -> SignOracle:
+    """The ordering whose least positive element is the generator s_index.
+
+    Elements outside the prefix parabolic on (index + 1) strands take the
+    cascade of the flipped word; every other element takes the plain
+    cascade.  The parabolic is a convex subgroup, lowest in the ordering's
+    chain.  At index n - 1 it is the whole group, the flipped cascade is
+    never read, and the ordering is the Dehornoy ordering; at index 1 every
+    element outside <s1> takes the flipped cascade, and inside <s1> the two
+    agree, so the ordering is the Dehornoy ordering pushed through the flip.
+    Every oracle of one ordering on n strands has the same fn and left.
+    """
+    n = group.strands
+    if not 1 <= index < n:
+        raise ValueError(f"generator index out of range: {index}")
+    fn, left = _ordering_hooks(n, index)
+    return SignOracle(group=group, fn=fn, descriptor=f"least[s{index}]", left=left)
 
 
 def dehornoy_oracle(group: BraidGroup) -> SignOracle:
     """The Dehornoy ordering: the member of the family whose least positive
-    element is the last generator."""
+    element is the last generator, renamed; its fn and left are that
+    member's."""
     return dataclasses.replace(ordering_oracle(group, group.strands - 1),
                                descriptor="dehornoy")
 
 
 def flipped_dehornoy_oracle(group: BraidGroup) -> SignOracle:
     """The Dehornoy ordering pushed through the flip: the member of the
-    family whose least positive element is the first generator."""
+    family whose least positive element is the first generator, renamed;
+    its fn and left are that member's."""
     return dataclasses.replace(ordering_oracle(group, 1), descriptor="flip-dehornoy")
 
 

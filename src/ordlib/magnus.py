@@ -67,6 +67,14 @@ class WordGroup(Group):
     def multiply(self, g, h):
         return reduce_word(itertools.chain(g, h))
 
+    def key_times(self, key_g, h):
+        """key(g*h): both words are reduced, so only letters at the
+        junction cancel, and neither word is walked past them."""
+        i, m = 0, min(len(key_g), len(h))
+        while i < m and key_g[-1 - i] == -h[i]:
+            i += 1
+        return key_g[:len(key_g) - i] + h[i:]
+
     def invert(self, g):
         return tuple(-a for a in reversed(g))
 

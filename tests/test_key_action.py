@@ -28,7 +28,9 @@ from ordlib.braid import (
     dehornoy_oracle,
     dynnikov_act,
     dynnikov_coordinates,
+    flip_word,
     flipped_dehornoy_oracle,
+    ordering_oracle,
 )
 from ordlib.core import Group, SignOracle, verify_cone_axioms
 from ordlib.extensions import g_group, g_ordering
@@ -49,6 +51,114 @@ def _oracles(group):
 def _word_only(oracle):
     """The same ordering without its key path: products are spelt."""
     return SignOracle(oracle.group, oracle.fn, oracle.descriptor)
+
+
+def _slice_act(c, word) -> tuple:
+    """The letter loop as first written, reading and writing the four
+    coordinates of a letter as one slice: the reference for dynnikov_act."""
+    c = list(c)
+    for x in word:
+        k = 2 * abs(x) - 2
+        a, b, a2, b2 = c[k:k + 4]
+        bp = b if b > 0 else 0
+        bm = b - bp
+        b2p = b2 if b2 > 0 else 0
+        b2m = b2 - b2p
+        if x > 0:
+            t = a - bm - a2 + b2p
+            tp = t if t > 0 else 0
+            u, v = b2p - t, bm + t
+            c[k:k + 4] = (a + bp + (u if u > 0 else 0), b2 - tp,
+                          a2 + b2m + (v if v < 0 else 0), b + tp)
+        else:
+            t = a + bm - a2 - b2p
+            tm = t if t < 0 else 0
+            u, v = b2p + t, bm - t
+            c[k:k + 4] = (a - bp - (u if u > 0 else 0), b2 + tm,
+                          a2 - b2m - (v if v < 0 else 0), b - tm)
+    return tuple(c)
+
+
+KERNEL_LENGTHS = (1, 2, 3, 4, 5, 8, 13, 64, 255, 1024, 4096)
+
+
+@pytest.mark.parametrize("strands", [3, 4, 10])
+def test_the_letter_loop_matches_the_slice_formulas(strands):
+    """On seeded words of every listed length, unreduced, acting on the
+    start vector and on the coordinates of another word: dynnikov_act gives
+    the slice formulas' coordinates.  The longest words drive coordinates
+    far past 64 bits."""
+    rng = random.Random(7000 + strands)
+    letters = [a for i in range(1, strands) for a in (i, -i)]
+    start = (0, 1) * strands
+    widest = 0
+    for length in KERNEL_LENGTHS:
+        for _ in range(4):
+            w = tuple(rng.choice(letters) for _ in range(length))
+            u = tuple(rng.choice(letters) for _ in range(rng.randint(1, 40)))
+            c = _slice_act(start, u)
+            for base in (start, c):
+                got = dynnikov_act(base, w)
+                assert got == _slice_act(base, w), (strands, length, w)
+                widest = max(widest, *(abs(x).bit_length() for x in got))
+    assert widest > 256
+
+
+@pytest.mark.parametrize("strands", [3, 4])
+def test_flipped_cascade_looks_up_the_flip_word(strands):
+    """On every pair of ball(3): the flipped cascade after g, which flips
+    letters by lookup as they act, reads what the flipped words would."""
+    n = strands
+    ball = braid_group(n).ball(3)
+    for g in ball:
+        after = braid._cascade_after(n, g, flipped=True)
+        c = dynnikov_coordinates(n, flip_word(n, g))
+        for h in ball:
+            assert after(h) == braid._first_move(dynnikov_act(c, flip_word(n, h))), (g, h)
+
+
+@pytest.mark.parametrize("strands", [3, 4])
+def test_named_ends_are_the_family_members(strands):
+    """dehornoy is least[s_(n-1)] and flip-dehornoy least[s1]: the same
+    sign on ball(4), the same left_fn(g)(h) on ball(2) x ball(2), and the
+    same fn, which is how the cone-axioms suite checks each once."""
+    group = braid_group(strands)
+    pairs = ((dehornoy_oracle(group), ordering_oracle(group, strands - 1)),
+             (flipped_dehornoy_oracle(group), ordering_oracle(group, 1)))
+    small = group.ball(2)
+    for named, member in pairs:
+        assert named.fn is member.fn and named.left is member.left
+        assert named.descriptor != member.descriptor
+        for g in group.ball(4)[1:]:
+            assert named.sign(g) == member.sign(g), (named.descriptor, g)
+        for g in small:
+            after_named, after_member = named.left_fn(g), member.left_fn(g)
+            for h in small:
+                assert after_named(h) == after_member(h), (named.descriptor, g, h)
+
+
+def test_cone_axioms_work_is_pinned(monkeypatch):
+    """Counted, not timed: on braid groups of its own, balls built inside,
+    the cone-axioms suite calls dynnikov_act this often with this many
+    letters in all.  The ordering hooks are built afresh too, so the count
+    does not depend on the tests run before.  One report per distinct
+    ordering: checking dehornoy and flip-dehornoy apart from least[s_(n-1)]
+    and least[s1] took 299,763 calls and 1,086,961 letters."""
+    count = [0, 0]
+    act = braid.dynnikov_act
+
+    def counted(c, word):
+        word = tuple(word)
+        count[0] += 1
+        count[1] += len(word)
+        return act(c, word)
+
+    monkeypatch.setattr(verify, "braid_group", BraidGroup)
+    monkeypatch.setattr(braid, "dynnikov_act", counted)
+    braid._ordering_hooks.cache_clear()
+    passed, facts = verify.suite_cone_axioms()
+    assert passed and facts["B4/dehornoy"] == facts["B4/least[s3]"] == "pass"
+    assert count == [180_482, 654_318]
 
 
 def test_the_action_is_a_right_action():

@@ -46,6 +46,18 @@ def test_reduce_word():
     assert reduce_word([1, 2, 1]) == (1, 2, 1)
 
 
+@pytest.mark.parametrize("rank,radius", [(2, 4), (3, 3)])
+def test_key_times_cancels_at_the_junction(rank, radius):
+    """On every pair of the ball, key_times, which cancels only where the
+    two reduced words meet, is the freely reduced product."""
+    group = free_group(rank)
+    ball = group.ball(radius)
+    for g in ball:
+        for h in ball:
+            assert group.key_times(g, h) == group.multiply(g, h), (g, h)
+    assert group.key_times((1, 2, -1), (1, -2, -1, 2)) == (2,)
+
+
 def test_parse_word_forms():
     assert parse_word(F2, "xyX") == (1, 2, -1)
     assert parse_word(F2, "x y^-1 x^2") == (1, -2, 1, 1)
