@@ -229,12 +229,6 @@ def _cascade_after(n: int, g, flipped: bool = False):
     return lambda h: _first_move(dynnikov_act(c, map(flip, h)))
 
 
-def flip_automorphism(group: BraidGroup) -> GroupAutomorphism:
-    n = group.strands
-    fn = lambda w: flip_word(n, w)
-    return GroupAutomorphism(group=group, forward=fn, backward=fn, descriptor="flip")
-
-
 def invert_generators(group: BraidGroup) -> GroupAutomorphism:
     fn = lambda w: tuple(-a for a in w)
     return GroupAutomorphism(group=group, forward=fn, backward=fn, descriptor="invert-gens")

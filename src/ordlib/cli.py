@@ -29,6 +29,9 @@ from .braid import (
     DEFAULT_BUDGET,
 )
 from .core import (
+    EQ,
+    GT,
+    LT,
     BudgetExceededError,
     IdentitySignError,
     InconclusiveTruncationError,
@@ -36,6 +39,7 @@ from .core import (
     RefusedConstructionError,
     SizeLimitError,
     act_automorphism,
+    compare,
     distinguishing_witness,
     inner_automorphism,
     least_positive_in_ball,
@@ -286,8 +290,7 @@ def cmd_braid_compare(args) -> int:
     oracle = _braid_oracle(group, args.ordering)
     left = _parse_braid_word(args.left, args.strands)
     right = _parse_braid_word(args.right, args.strands)
-    sign = oracle.fn(group.multiply(group.invert(left), right))
-    print({1: "<", 0: "=", -1: ">"}[sign])
+    print({LT: "<", EQ: "=", GT: ">"}[compare(oracle, left, right)])
     return 0
 
 

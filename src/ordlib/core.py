@@ -22,7 +22,6 @@ deterministic.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import weakref
 from abc import ABC, abstractmethod
@@ -355,12 +354,10 @@ class AxiomReport:
 
 
 def compare(oracle: SignOracle, g, h) -> int:
-    """LT, EQ or GT for g versus h; left-invariant by construction."""
+    """LT, EQ or GT (-1, 0, 1) for g versus h, read from the one sign
+    fn(g^-1 h), which is 0 exactly when g = h and +1 exactly when g < h."""
     grp = oracle.group
-    if grp.same(g, h):
-        return EQ
-    sign = oracle.sign(grp.multiply(grp.invert(g), h))
-    return LT if sign == POSITIVE else GT
+    return -oracle.fn(grp.multiply(grp.invert(g), h))
 
 
 def verify_cone_axioms(oracle: SignOracle, group: Group, radius: int,
@@ -429,59 +426,6 @@ def least_positive_in_ball(oracle: SignOracle, group: Group, radius: int):
     if best is None:
         raise NoPositiveError(f"no positive elements in ball({radius}) of {group.name}")
     return best
-
-
-def certify_least_positive(oracle: SignOracle, group: Group, radius: int, candidate) -> bool:
-    """True iff candidate is positive and <= every positive element of the ball."""
-    if oracle.sign(candidate) != POSITIVE:
-        return False
-    for g in group.ball(radius)[1:]:
-        if oracle.sign(g) == POSITIVE and compare(oracle, candidate, g) == GT:
-            return False
-    return True
-
-
-def check_convex_in_ball(member: Callable, oracle: SignOracle, group: Group, radius: int):
-    """None if the subgroup looks convex on the ball, else a witness (g, f, h)
-    with g, h in the subgroup, f outside, and g < f < h.
-
-    ``member`` must describe a subgroup: it is validated for closure under
-    inversion and under in-ball products before the convexity scan.
-    """
-    ball = group.ball(radius)
-    data = group.ball_data(radius)
-    flags = [bool(member(g)) for g in ball]
-    if not flags[0]:
-        raise ValueError("subgroup predicate rejects the identity")
-    inv = data.inverse_index()
-    for i, g in enumerate(ball):
-        if flags[i] and not flags[inv[i]]:
-            raise ValueError(f"subgroup predicate not closed under inversion at {group.label(g)}")
-    table = data.product_table()
-    for i in range(len(ball)):
-        if not flags[i]:
-            continue
-        row = table[i]
-        for j in range(len(ball)):
-            if flags[j] and row[j] >= 0 and not flags[row[j]]:
-                raise ValueError(
-                    f"subgroup predicate not closed under products at "
-                    f"{group.label(ball[i])}*{group.label(ball[j])}")
-    # order the ball, then look for an outsider strictly between two members
-    key = functools.cmp_to_key(lambda a, b: compare(oracle, ball[a], ball[b]))
-    order = sorted(range(len(ball)), key=key)
-    member_positions = [p for p, i in enumerate(order) if flags[i]]
-    if len(member_positions) < 2:
-        return None
-    lo, hi = member_positions[0], member_positions[-1]
-    candidates = [order[p] for p in range(lo + 1, hi) if not flags[order[p]]]
-    if not candidates:
-        return None
-    f_idx = min(candidates, key=lambda i: group.sort_key(ball[i]))
-    fpos = order.index(f_idx)
-    g_idx = next(order[p] for p in range(fpos - 1, -1, -1) if flags[order[p]])
-    h_idx = next(order[p] for p in range(fpos + 1, len(order)) if flags[order[p]])
-    return (ball[g_idx], ball[f_idx], ball[h_idx])
 
 
 def distinguishing_witness(phi: GroupAutomorphism, catalog: list[SignOracle],

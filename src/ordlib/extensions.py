@@ -154,11 +154,6 @@ class KleinAut:
         a, b = g
         return (self.delta * a - self.m * (b % 2), self.eps * b)
 
-    def compose(self, other: "KleinAut") -> "KleinAut":
-        """self after other."""
-        return KleinAut(self.eps * other.eps, self.delta * other.delta,
-                        self.m + self.delta * other.m)
-
     def inverse(self) -> "KleinAut":
         return KleinAut(self.eps, self.delta, -self.delta * self.m)
 

@@ -27,7 +27,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Group, GroupAutomorphism, SignOracle
+from .core import Group, GroupAutomorphism, SignOracle, SizeLimitError
 from .quadfield import QuadRat, UnsupportedFieldError, _square_free_part
 
 
@@ -94,10 +94,6 @@ def mat_from_rows(rows) -> tuple:
     if n == 0 or any(len(row) != n for row in mat):
         raise ValueError("matrix must be square and nonempty")
     return mat
-
-
-def mat_identity(n: int) -> tuple:
-    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
 
 
 def mat_mul(a, b) -> tuple:
@@ -343,6 +339,9 @@ def _sublattice_basis(basis, rank: int):
 
 
 WITNESS_RADIUS = 24
+# the witness search walks ball(WITNESS_RADIUS) of Z^rank: Z^3's has 19,649
+# elements and Z^4's 241,601, so it is refused above rank 3
+MAX_WITNESS_BALL = 20_000
 
 
 def vlo_equal(f1: FormFlag, f2: FormFlag, basis1=None,
@@ -356,7 +355,8 @@ def vlo_equal(f1: FormFlag, f2: FormFlag, basis1=None,
     exact: the canonical forms are compared.  The witness search is
     bounded: on a difference, the first disagreement in the intersection
     inside ball(WITNESS_RADIUS) is returned, or None when that ball has
-    none.
+    none.  A ball of more than MAX_WITNESS_BALL elements is refused with
+    SizeLimitError after counting, before it is built.
     """
     if f1.rank != f2.rank:
         raise ValueError("flags have different ranks")
@@ -367,7 +367,12 @@ def vlo_equal(f1: FormFlag, f2: FormFlag, basis1=None,
                 if b is not None]
     if f1.canonical == f2.canonical:
         return (True, None)
-    for v in lattice_group(f1.rank).ball(WITNESS_RADIUS)[1:]:
+    group = lattice_group(f1.rank)
+    if group.ball_exceeds(WITNESS_RADIUS, MAX_WITNESS_BALL):
+        raise SizeLimitError(
+            f"ball({WITNESS_RADIUS}) of {group.name} has more than {MAX_WITNESS_BALL} "
+            "elements, too many for a witness search")
+    for v in group.ball(WITNESS_RADIUS)[1:]:
         if f1.form_sign(v) != f2.form_sign(v) and all(
                 x.denominator == 1 for inv in inverses for x in row_times_mat(v, inv)):
             return (False, v)

@@ -40,7 +40,6 @@ from .core import (
     IdentitySignError,
     SignOracle,
     SizeLimitError,
-    separating_element,
 )
 
 __all__ = [
@@ -48,7 +47,6 @@ __all__ = [
     "check_ball_size",
     "enumerate_partial_cones",
     "extend_partial_cone",
-    "separating_element",
     "isolator_member",
     "condition_star_check",
 ]

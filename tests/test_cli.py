@@ -31,6 +31,12 @@ def test_braid_compare_and_reduce(capsys):
     rc, out = run(capsys, "braid", "compare", "--strands", "3",
                   "--left", "2", "--right", "1")
     assert (rc, out) == (0, ["<"])
+    rc, out = run(capsys, "braid", "compare", "--strands", "3",
+                  "--left", "1 2 1", "--right", "2 1 2")
+    assert (rc, out) == (0, ["="])
+    rc, out = run(capsys, "braid", "compare", "--strands", "3",
+                  "--left", "1", "--right", "2")
+    assert (rc, out) == (0, [">"])
     rc, out = run(capsys, "braid", "reduce", "--strands", "4",
                   "--word", "1 3 2 3 -2 -3 -2 -1")
     assert (rc, out) == (0, ["e"])
@@ -138,6 +144,26 @@ def test_abelian_eigen_star_vlo(capsys):
     rc, out = run(capsys, "abelian", "vlo", "--first", "(1,0);(0,1)",
                   "--second", "(1,1/1000);(0,1)")
     assert (rc, out) == (0, ["differ, no witness in ball(24)"])
+
+
+def _unit_flag(rank, last=0):
+    rows = [["1" if i == j else "0" for j in range(rank)] for i in range(rank)]
+    rows[-2][-1] = str(last)
+    return ";".join("(" + ",".join(row) + ")" for row in rows)
+
+
+@pytest.mark.parametrize("rank", [4, 8])
+def test_abelian_vlo_refuses_a_witness_ball_past_its_cap(capsys, rank):
+    """Differing flags of rank 4 and more would search ball(24) of Z^rank,
+    241,601 vectors at rank 4; that ball is counted and refused."""
+    rc, out = run(capsys, "abelian", "vlo", "--first", _unit_flag(rank),
+                  "--second", _unit_flag(rank, "1/1000"))
+    assert rc == 1
+    assert out == [f"error: SizeLimitError: ball(24) of Z^{rank} has more than "
+                   "20000 elements, too many for a witness search"]
+    rc, out = run(capsys, "abelian", "vlo", "--first", _unit_flag(rank),
+                  "--second", _unit_flag(rank).replace("(1,", "(2,", 1))
+    assert (rc, out) == (0, ["equal"])
 
 
 def test_abelian_vlo_has_no_radius(capsys):

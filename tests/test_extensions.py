@@ -10,9 +10,7 @@ from ordlib.core import (
     IdentitySignError,
     RefusedConstructionError,
     act_automorphism,
-    certify_least_positive,
     check_bi_invariance,
-    check_convex_in_ball,
     separating_element,
     verify_cone_axioms,
 )
@@ -47,7 +45,6 @@ from ordlib.extensions import (
 from ordlib.lattice import (
     FormFlag,
     mat_from_rows,
-    mat_identity,
     mat_inverse,
     mat_mul,
     row_times_mat,
@@ -105,12 +102,6 @@ def test_four_orderings_are_orderings_and_distinct():
         assert separating_element(o1, o2, KLEIN, 1) is not None
 
 
-def test_kernel_subgroup_is_convex_in_all_four():
-    member = lambda g: g[1] == 0
-    for oracle in klein_orderings():
-        assert check_convex_in_ball(member, oracle, KLEIN, 4) is None
-
-
 def test_klein_aut_family():
     phi = KleinAut(1, 1, 3)
     assert phi.apply(X) == (-3, 1)
@@ -118,11 +109,12 @@ def test_klein_aut_family():
     assert phi.apply((0, 2)) == (0, 2)
     with pytest.raises(ValueError):
         KleinAut(2, 1, 0)
-    assert phi.compose(phi.inverse()) == KleinAut(1, 1, 0)
-    auto = phi.to_automorphism()
-    for g in KLEIN.ball(3):
-        assert auto.backward(auto.forward(g)) == g
     assert len(list(klein_family(2))) == 20
+    for member in klein_family(3):
+        auto = member.to_automorphism()
+        for g in KLEIN.ball(3):
+            assert auto.backward(auto.forward(g)) == g, (member, g)
+            assert auto.forward(auto.backward(g)) == g, (member, g)
 
 
 def test_inner_automorphisms_sit_in_the_family():
@@ -203,7 +195,6 @@ def test_g_ordering_and_least_element():
     assert verify_cone_axioms(pg, G, 3).passed
     t = (k_group().identity, 1)
     assert g_least_positive(3) == t
-    assert certify_least_positive(pg, G, 3, t)
     assert G.label(t) == "(((0, 0), 0), 1)"
 
 
@@ -272,7 +263,7 @@ def _fraction_power(c, negated):
     """The same power through Fraction matrices and Gauss-Jordan inversion."""
     sign = -1 if negated else 1
     mat = mat_from_rows([[sign * x for x in row] for row in ((1, 2), (1, 1))])
-    power = mat_identity(2)
+    power = mat_from_rows([[1, 0], [0, 1]])
     for _ in range(abs(c)):
         power = mat_mul(power, mat)
     return power if c >= 0 else mat_inverse(power)
