@@ -357,4 +357,3 @@ def test_separating_element():
     assert separating_element(LEX, SWAPPED, Z2, 1) is None
     assert separating_element(LEX, SWAPPED, Z2, 2) == (1, -1)
     assert separating_element(LEX, LEX, Z2, 2) is None
-
