@@ -205,12 +205,13 @@ class BraidGroup(WordGroup):
         return dynnikov_act(key_g, h)
 
 
-@functools.cache
+# each group keeps its own balls, so only the most recent are kept
+@functools.lru_cache(maxsize=16)
 def braid_group(strands: int) -> BraidGroup:
     return BraidGroup(strands)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=64)
 def _flip_letters(n: int) -> tuple:
     """The flip on letters as a lookup: the entry at index a is
     flip_word(n, (a,))[0], negative letters indexing from the end."""
@@ -234,7 +235,7 @@ def invert_generators(group: BraidGroup) -> GroupAutomorphism:
     return GroupAutomorphism(group=group, forward=fn, backward=fn, descriptor="invert-gens")
 
 
-@functools.cache
+@functools.lru_cache(maxsize=64)
 def _ordering_hooks(n: int, index: int) -> tuple:
     """(fn, left) of least[s_index] on n strands, built once, so that every
     oracle of this ordering shares them whatever its name."""

@@ -38,10 +38,8 @@ from .core import (
     NoPositiveError,
     RefusedConstructionError,
     SizeLimitError,
-    act_automorphism,
     compare,
     distinguishing_witness,
-    inner_automorphism,
     least_positive_in_ball,
     separating_element,
     verify_cone_axioms,
@@ -80,13 +78,13 @@ from .lospace import (
     extend_partial_cone,
 )
 from .magnus import (
+    FREE_PROBES,
     closure_lex_oracle,
     free_group,
-    invert_first,
+    free_probe,
+    free_probe_catalog,
     magnus_oracle,
     parse_word,
-    shear_first,
-    swap_generators,
 )
 from .quadfield import QuadRat, UnsupportedFieldError, _is_square_free
 
@@ -407,25 +405,11 @@ def cmd_free_sign(args) -> int:
     return 0
 
 
-FREE_PROBES = {
-    "swap": swap_generators,
-    "invert": invert_first,
-    "shear": shear_first,
-    "inner": lambda group: inner_automorphism(group, (1,)),
-}
-
-
 def cmd_free_witness(args) -> int:
     group = free_group(2)
     check_ball_size(group, args.radius)
-    phi = FREE_PROBES[args.probe](group)
-    series = magnus_oracle(group)
-    catalog = [series]
-    catalog.extend(act_automorphism(FREE_PROBES[p](group), series)
-                   for p in FREE_PROBES)
-    catalog.append(closure_lex_oracle(group, 1))
-    catalog.append(closure_lex_oracle(group, 2))
-    hit = distinguishing_witness(phi, catalog, group, args.radius)
+    hit = distinguishing_witness(free_probe(group, args.probe),
+                                 free_probe_catalog(group), group, args.radius)
     if hit is None:
         print("none")
     else:
@@ -438,9 +422,8 @@ def cmd_ext_build(args) -> int:
     if args.target == "g":
         print(f"constructed {g_ordering().descriptor}")
         return 0
-    free_y = free_group(1, ("y",))
-    y_pos = magnus_oracle(free_y)
-    lex_extension(y_pos, klein_as_extension())
+    ext = klein_as_extension()
+    lex_extension(magnus_oracle(ext.base), ext)
     print("unexpectedly constructed an ordering of the Klein group")
     return 0
 
@@ -512,7 +495,7 @@ def cmd_lospace_star(args) -> int:
             raise UsageError("--probe applies to the group f2")
         if args.probe not in FREE_PROBES:
             raise UsageError(f"unknown probe {args.probe!r}")
-        phi = FREE_PROBES[args.probe](group)
+        phi = free_probe(group, args.probe)
     else:
         if args.group != "klein":
             raise UsageError("--aut applies to the klein group")

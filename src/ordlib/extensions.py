@@ -12,6 +12,10 @@ ordered kernel-first, which is legitimate only because that twist fixes the
 K-ordering; the constructor checks this on a ball and refuses otherwise.
 The refusal is not a formality: rebuilding the Klein group as <y> x| Z
 trips it, since conjugation by x inverts y.
+
+Each extension by Z takes its twist as one function, twist(c, b): the c-th
+power of the twist applied to the base element b.  Conjugation by the Z
+letter is twist(1, -) with inverse twist(-1, -).
 """
 
 from __future__ import annotations
@@ -248,11 +252,10 @@ class RationalPlaneGroup(Group):
                         yield (c1, c2)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=256)
 def _weighted_rationals(w: int) -> tuple:
     """All rationals of weight exactly w, i.e. |p| + q - 1 = w in lowest
-    terms.  Balls ask only for weights up to their radius, so the cache
-    holds one entry per weight up to the largest radius requested."""
+    terms.  Balls ask only for weights up to their radius."""
     if w == 0:
         return (Fraction(0),)
     out = []
@@ -271,13 +274,13 @@ def rational_plane() -> RationalPlaneGroup:
 
 class ZExtensionGroup(Group):
     """A split extension base x| Z; elements are pairs (b, c), and moving
-    the Z letter c times past a base element applies twist_power(c), the
-    c-th power of the twist, to it."""
+    the Z letter c times past a base element b gives twist(c, b), the c-th
+    power of the twist applied to b."""
 
-    def __init__(self, base: Group, twist_power, name: str):
+    def __init__(self, base: Group, twist, name: str):
         super().__init__()
         self.base = base
-        self.twist_power = twist_power
+        self.twist = twist
         self.name = name
         self._identity = (base.identity, 0)
 
@@ -285,16 +288,14 @@ class ZExtensionGroup(Group):
     def identity(self):
         return self._identity
 
-    def twist_apply(self, c: int, b):
-        return self.twist_power(c)(b) if c else b
-
     def multiply(self, g, h):
         (b1, c1), (b2, c2) = g, h
-        return (self.base.multiply(b1, self.twist_apply(c1, b2)), c1 + c2)
+        return (self.base.multiply(b1, self.twist(c1, b2) if c1 else b2), c1 + c2)
 
     def invert(self, g):
         b, c = g
-        return (self.twist_apply(-c, self.base.invert(b)), -c)
+        b = self.base.invert(b)
+        return (self.twist(-c, b) if c else b, -c)
 
     def weight(self, g) -> int:
         b, c = g
@@ -325,8 +326,8 @@ class ZExtensionGroup(Group):
 
 def twist_automorphism(ext: ZExtensionGroup) -> GroupAutomorphism:
     """Conjugation by the positive Z letter, restricted to the base."""
-    return GroupAutomorphism(group=ext.base, forward=ext.twist_power(1),
-                             backward=ext.twist_power(-1),
+    return GroupAutomorphism(group=ext.base, forward=functools.partial(ext.twist, 1),
+                             backward=functools.partial(ext.twist, -1),
                              descriptor=f"twist[{ext.name}]")
 
 
@@ -394,11 +395,16 @@ def _plane_add_times(u, v, mat) -> tuple:
     return (Fraction(p, den), Fraction(q, den))
 
 
-def _plane_matrix_power(negated: bool):
-    def power(c: int):
-        mat = _hyperbolic_power(c, negated)
-        return lambda v: _plane_add_times(_PLANE_ZERO, v, mat)
-    return power
+def _plane_twist(negated: bool, c: int, v) -> tuple:
+    """v times the c-th power of the (negated) hyperbolic matrix."""
+    return _plane_add_times(_PLANE_ZERO, v, _hyperbolic_power(c, negated))
+
+
+def _g_twist(t: int, g) -> tuple:
+    """The t-th power of G's twist on g = (v, c) in K: the negated matrix
+    acts on the plane part, and the K exponent stays."""
+    v, c = g
+    return (_plane_twist(True, t, v), c)
 
 
 class _KGroup(ZExtensionGroup):
@@ -419,20 +425,14 @@ class _GGroup(ZExtensionGroup):
 def k_group() -> ZExtensionGroup:
     """K = Q^2 x| Z: the Z letter acts on row vectors by the fixed
     hyperbolic matrix."""
-    return _KGroup(rational_plane(), _plane_matrix_power(False), "K")
+    return _KGroup(rational_plane(), functools.partial(_plane_twist, False), "K")
 
 
 @functools.cache
 def g_group() -> ZExtensionGroup:
     """G = K x| Z: the new letter t acts on K through the negated matrix,
     which commutes with K's own twist."""
-    plane_power = _plane_matrix_power(True)
-
-    def power(m: int):
-        f = plane_power(m)
-        return lambda g: (f(g[0]), g[1])
-
-    return _GGroup(k_group(), power, "G")
+    return _GGroup(k_group(), _g_twist, "G")
 
 
 @functools.cache
@@ -543,11 +543,8 @@ def klein_as_extension() -> ZExtensionGroup:
     letter inverts y; ordering it kernel-first is impossible, and
     lex_extension refuses with witness y."""
     base = free_group(1, ("y",))
-
-    def power(c: int):
-        return base.invert if c % 2 else (lambda b: b)
-
-    return ZExtensionGroup(base, power, "Klein-ext")
+    return ZExtensionGroup(base, lambda c, b: base.invert(b) if c % 2 else b,
+                           "Klein-ext")
 
 
 def g_least_positive(radius: int = 3):

@@ -68,6 +68,15 @@ class LatticeGroup(Group):
     def invert(self, g):
         return tuple(-a for a in g)
 
+    def ball_exceeds(self, radius: int, cap: int) -> bool:
+        """Counted in closed form, with no walk: the l1 ball of radius r
+        holds 2^k C(n, k) C(r, k) vectors with exactly k nonzero entries
+        (their support, their signs, and k positive parts summing to at
+        most r)."""
+        n = self.rank
+        return sum(2**k * math.comb(n, k) * math.comb(radius, k)
+                   for k in range(min(n, radius) + 1)) > cap
+
     def sort_key(self, g):
         letters = []
         for i, c in enumerate(g):
@@ -81,7 +90,8 @@ class LatticeGroup(Group):
     ray = staticmethod(vector_ray)
 
 
-@functools.cache
+# each group keeps its own balls, so only the most recent are kept
+@functools.lru_cache(maxsize=16)
 def lattice_group(rank: int) -> LatticeGroup:
     return LatticeGroup(rank)
 

@@ -23,7 +23,13 @@ from __future__ import annotations
 import itertools
 import re
 
-from .core import Group, GroupAutomorphism, InconclusiveTruncationError, SignOracle
+from .core import (
+    Group,
+    GroupAutomorphism,
+    InconclusiveTruncationError,
+    SignOracle,
+    act_automorphism,
+)
 
 ESCALATION_CAP = 32
 # parse_word refuses to expand x^k factors past this many letters
@@ -351,25 +357,29 @@ def free_automorphism(group: FreeGroup, images: dict, inverse_images: dict,
     )
 
 
-def swap_generators(group: FreeGroup) -> GroupAutomorphism:
+# name: (descriptor, images of x and y, their images under the inverse),
+# each image a word that parse_word reads
+FREE_PROBES = {
+    "swap": ("swap", ("y", "x"), ("y", "x")),
+    "invert": ("invert-first", ("x^-1", "y"), ("x^-1", "y")),
+    "shear": ("shear", ("x y", "y"), ("x y^-1", "y")),
+    "inner": ("inner[x]", ("x", "x y x^-1"), ("x", "x^-1 y x")),
+}
+
+
+def free_probe(group: FreeGroup, name: str) -> GroupAutomorphism:
+    """The automorphism of F2 that row ``name`` of FREE_PROBES spells."""
     if group.rank != 2:
-        raise ValueError("swap is defined for rank 2")
-    images = {1: (2,), 2: (1,)}
-    return free_automorphism(group, images, images, "swap")
+        raise ValueError("the free probes are defined on rank 2")
+    descriptor, images, inverse = FREE_PROBES[name]
+    read = lambda words: {i: parse_word(group, w) for i, w in enumerate(words, 1)}
+    return free_automorphism(group, read(images), read(inverse), descriptor)
 
 
-def invert_first(group: FreeGroup) -> GroupAutomorphism:
-    images = {i: (i,) for i in range(1, group.rank + 1)}
-    images[1] = (-1,)
-    return free_automorphism(group, images, dict(images), "invert-first")
-
-
-def shear_first(group: FreeGroup) -> GroupAutomorphism:
-    """x -> x y, all other generators fixed."""
-    if group.rank < 2:
-        raise ValueError("shear needs rank at least 2")
-    images = {i: (i,) for i in range(1, group.rank + 1)}
-    inverse = dict(images)
-    images[1] = (1, 2)
-    inverse[1] = (1, -2)
-    return free_automorphism(group, images, inverse, "shear")
+def free_probe_catalog(group: FreeGroup) -> list:
+    """The series ordering, its pushforward by each probe in table order,
+    then the two closure orderings."""
+    series = magnus_oracle(group)
+    return [series,
+            *(act_automorphism(free_probe(group, p), series) for p in FREE_PROBES),
+            closure_lex_oracle(group, 1), closure_lex_oracle(group, 2)]

@@ -102,6 +102,33 @@ def test_ball_exceeds_counts_without_building():
     assert not group.ball_exceeds(3, 63) and group.ball_exceeds(3, 62)
 
 
+def test_lattice_ball_count_is_closed_form():
+    for rank in range(1, 5):
+        for r in range(9):
+            size = sum(1 for _ in LatticeGroup(rank)._ball_elements(r))
+            group = LatticeGroup(rank)
+            assert group.ball_exceeds(r, size - 1) and not group.ball_exceeds(r, size)
+
+
+def test_lattice_ball_count_walks_nothing(monkeypatch):
+    def refuse(self, radius):
+        raise AssertionError("walked a lattice ball")
+
+    monkeypatch.setattr(LatticeGroup, "_ball_elements", refuse)
+    group = LatticeGroup(3)
+    # 19,649 vectors in ball(24) of Z^3
+    assert not group.ball_exceeds(24, 20_000) and group.ball_exceeds(24, 19_648)
+    assert group._balls == {}
+
+
+@pytest.mark.parametrize("make", [braid_group, lattice_group])
+def test_group_caches_are_bounded(make):
+    for n in range(2, 201):
+        make(n)
+    info = make.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
 def test_ball_cache_keeps_the_most_recently_used_radii():
     group = LatticeGroup(2)
     built = [group.ball_data(r) for r in range(8)]

@@ -227,7 +227,7 @@ def test_twist_automorphism_is_the_unit_twist_power():
     for ext in (k_group(), g_group()):
         phi = twist_automorphism(ext)
         for b in ext.base.ball(2):
-            assert phi.forward(b) == ext.twist_apply(1, b)
+            assert phi.forward(b) == ext.twist(1, b)
             assert phi.backward(phi.forward(b)) == b
 
 
@@ -280,11 +280,11 @@ def test_hyperbolic_powers_are_integer_and_exact(negated):
         for v in plane:
             image = row_times_mat(v, reference)
             if negated:
-                got = G.twist_apply(c, (v, 5))
+                got = G.twist(c, (v, 5))
                 assert got == (image, 5)
                 got = got[0]
             else:
-                got = K.twist_apply(c, v)
+                got = K.twist(c, v)
                 assert got == image
             assert all(type(x) is Fraction for x in got)
 

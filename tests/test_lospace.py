@@ -25,7 +25,7 @@ from ordlib.lospace import (
     extend_partial_cone,
     isolator_member,
 )
-from ordlib.magnus import free_group, reduce_word, swap_generators
+from ordlib.magnus import free_group, free_probe, reduce_word
 
 Z = lattice_group(1)
 Z2 = lattice_group(2)
@@ -281,7 +281,7 @@ def test_power_agreement_probe():
     assert condition_star_check(shear, Z2) == (0, 1)
     flip = KleinAut(1, -1, 0).to_automorphism()
     assert condition_star_check(flip, KLEIN) == (1, 0)
-    assert condition_star_check(swap_generators(F2), F2) == (1,)
+    assert condition_star_check(free_probe(F2, "swap"), F2) == (1,)
     # scalar 9 needs an exponent of 9; scalar 1/2 has Fraction images
     for c in (1, 9, Fraction(1, 2)):
         scalar = mat_from_rows([[c, 0], [0, c]])

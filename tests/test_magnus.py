@@ -19,17 +19,17 @@ from ordlib.magnus import (
     closure_lex_sign,
     closure_rewrite,
     expand_letters,
+    FREE_PROBES,
     free_automorphism,
     free_group,
-    invert_first,
+    free_probe,
+    free_probe_catalog,
     magnus_oracle,
     magnus_sign,
     parse_word,
     reduce_word,
     series_sign,
-    shear_first,
     substitute,
-    swap_generators,
 )
 
 F2 = free_group(2)
@@ -210,12 +210,12 @@ def test_closure_ordering_is_not_bi_invariant():
 
 
 def test_automorphism_helpers():
-    swap = swap_generators(F2)
+    swap = free_probe(F2, "swap")
     assert swap.forward((1, -2)) == (2, -1)
-    shear = shear_first(F2)
+    shear = free_probe(F2, "shear")
     assert shear.forward((1,)) == (1, 2)
     assert shear.backward((1,)) == (1, -2)
-    inv = invert_first(F2)
+    inv = free_probe(F2, "invert")
     assert inv.forward((1, 2)) == (-1, 2)
     assert substitute(F2, (1, 2), {1: (2,), 2: (-1,)}) == (2, -1)
     with pytest.raises(ValueError):
@@ -223,7 +223,7 @@ def test_automorphism_helpers():
 
 
 def test_pushforward_descriptor_and_signs():
-    pushed = act_automorphism(swap_generators(F2), MAG)
+    pushed = act_automorphism(free_probe(F2, "swap"), MAG)
     assert pushed.descriptor == "swap.series[deg6]"
     assert pushed.sign((2,)) == 1
     assert pushed.sign((1, -2)) == -1
@@ -232,8 +232,8 @@ def test_pushforward_descriptor_and_signs():
 def test_inner_is_invisible_to_conjugation_invariant_orderings():
     inner = inner_automorphism(F2, (1,))
     catalog = [MAG] + [
-        act_automorphism(phi(F2), MAG)
-        for phi in (swap_generators, invert_first, shear_first)]
+        act_automorphism(free_probe(F2, name), MAG)
+        for name in ("swap", "invert", "shear")]
     assert distinguishing_witness(inner, catalog, F2, 2) is None
     hit = distinguishing_witness(inner, [NCX], F2, 2)
     assert hit is not None
@@ -242,7 +242,36 @@ def test_inner_is_invisible_to_conjugation_invariant_orderings():
 
 
 def test_power_compatibility_failures():
-    assert condition_star_check(swap_generators(F2), F2) == (1,)
+    assert condition_star_check(free_probe(F2, "swap"), F2) == (1,)
     assert condition_star_check(inner_automorphism(F2, (1,)), F2) == (2,)
     ident = free_automorphism(F2, {1: (1,), 2: (2,)}, {1: (1,), 2: (2,)}, "id")
     assert condition_star_check(ident, F2) is None
+
+
+PROBE_DESCRIPTORS = {"swap": "swap", "invert": "invert-first", "shear": "shear",
+                     "inner": "inner[x]"}
+
+
+@pytest.mark.parametrize("name", list(FREE_PROBES))
+def test_every_probe_row_is_an_automorphism(name):
+    phi = free_probe(F2, name)
+    assert phi.descriptor == PROBE_DESCRIPTORS[name]
+    for w in F2.ball(4):
+        assert phi.backward(phi.forward(w)) == w
+        assert phi.forward(phi.backward(w)) == w
+
+
+def test_inner_row_is_conjugation_by_x():
+    row, inner = free_probe(F2, "inner"), inner_automorphism(F2, (1,))
+    assert row.descriptor == inner.descriptor
+    for w in F2.ball(4):
+        assert row.forward(w) == inner.forward(w)
+        assert row.backward(w) == inner.backward(w)
+
+
+def test_probe_catalog_order_and_rank():
+    assert [o.descriptor for o in free_probe_catalog(F2)] == [
+        "series[deg6]", "swap.series[deg6]", "invert-first.series[deg6]",
+        "shear.series[deg6]", "inner[x].series[deg6]", "nclex[x]", "nclex[y]"]
+    with pytest.raises(ValueError):
+        free_probe(free_group(3), "swap")
