@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from collections import deque
 
 from .core import BudgetExceededError, GroupAutomorphism, SignOracle
 from .magnus import WordGroup, reduce_word
@@ -42,63 +41,74 @@ from .magnus import WordGroup, reduce_word
 DEFAULT_BUDGET = 10 ** 6
 
 
-def _reduce_main(word, budget: list) -> list:
-    """Reduce handles until the lowest generator is sign definite.
+def handle_reduce(word, budget: int = DEFAULT_BUDGET) -> tuple:
+    """Reduce every handle of the first generator, returning the final word.
 
-    One stack of letter positions per generator index: an arriving letter
-    first tries to cancel freely, then closes the innermost handle of its
-    own index, but only when no lower-index letter sits inside the pair;
-    such a letter would invalidate the rewriting, so the pair is left in
-    place instead.  The conjugated interior goes back on the pending queue
-    for reprocessing.  Fired handles therefore never contain a live handle
-    of the next generator up, which is what makes the loop terminate, and
+    Letters arrive from a pending stack, the word's letters with the first
+    on top.  Each one first cancels freely against the output's last
+    letter, then closes the innermost handle of its own index, but only
+    when no lower-index letter sits inside the pair; such a letter would
+    invalidate the rewriting, so the pair is left in place instead.  The
+    conjugated interior goes back on top of the pending stack for
+    reprocessing.  Fired handles therefore never contain a live handle of
+    the next generator up, which is what makes the loop terminate, and
     handles of generator 1 are never blocked, so the result has all its
-    first-generator letters of one sign.  budget is a one-cell list
-    counting remaining handle reductions.
+    first-generator letters of one sign.
+
+    The output starts with a sentinel 0 at position 0.  stacks[k] lists the
+    positions of the output's letters of index k, in order, on top of a
+    bottom 0 that points at the sentinel, so no read needs an emptiness
+    test.  A handle of index j holds no letter of index j or below, so
+    firing it trims only the stacks above j.  The (budget + 1)-th handle
+    raises BudgetExceededError.
     """
-    pending = deque(word)
-    out: list = []
-    stacks: dict[int, list] = {}
+    word = reduce_word(word)
+    stacks = [[0] for _ in range(max(map(abs, word), default=0) + 1)]
+    out = [0]
+    pending = list(reversed(word))
+    pop = pending.pop
+    push = pending.append
+    left = budget
     while pending:
-        a = pending.popleft()
-        j = abs(a)
-        if out and out[-1] == -a:
-            top = stacks.get(j)
-            if top and top[-1] == len(out) - 1:
-                top.pop()
+        a = pop()
+        j = a if a > 0 else -a
+        stack = stacks[j]
+        if out[-1] == -a:
+            # the last letter has index j, so its position tops stacks[j]
+            stack.pop()
             out.pop()
             continue
-        stack = stacks.setdefault(j, [])
-        if stack and out[stack[-1]] == -a and not any(
-                s and s[-1] > stack[-1]
-                for k, s in stacks.items() if k < j):
-            start = stack.pop()
-            inner = out[start + 1:]
-            del out[start:]
-            for s in stacks.values():
-                while s and s[-1] >= start:
-                    s.pop()
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise BudgetExceededError("handle reduction budget exhausted")
-            e = 1 if a < 0 else -1
-            step = j + 1
-            repl = []
-            for b in inner:
-                if abs(b) == step:
-                    repl.extend((-e * step, j if b > 0 else -j, e * step))
-                else:
-                    repl.append(b)
-            pending.extendleft(reversed(repl))
-        else:
-            stack.append(len(out))
-            out.append(a)
-    return out
-
-
-def handle_reduce(word, budget: int = DEFAULT_BUDGET) -> tuple:
-    """Reduce every handle of the first generator, returning the final word."""
-    return tuple(_reduce_main(reduce_word(word), [budget]))
+        start = stack[-1]
+        if out[start] == -a:
+            for k in range(1, j):
+                if stacks[k][-1] > start:
+                    break
+            else:
+                left -= 1
+                if left < 0:
+                    raise BudgetExceededError(
+                        f"handle reduction budget of {budget} reductions exhausted")
+                stack.pop()
+                inner = out[:start:-1]
+                del out[start:]
+                for s in stacks[j + 1:]:
+                    while s[-1] >= start:
+                        s.pop()
+                # s_step^d inside becomes s_step^-e s_j^d s_step^e, pushed last
+                # letter first, where e is the sign of the handle's opener
+                step = j + 1
+                e = step if a < 0 else -step
+                for b in inner:
+                    if b == step:
+                        pending += (e, j, -e)
+                    elif b == -step:
+                        pending += (e, -j, -e)
+                    else:
+                        push(b)
+                continue
+        stack.append(len(out))
+        out.append(a)
+    return tuple(out[1:])
 
 
 def _first_move(c) -> tuple:
@@ -298,5 +308,25 @@ def braid_ordering_catalog(group: BraidGroup) -> list:
 
 
 def random_word(rng, strands: int, length: int) -> tuple:
+    """length letters drawn uniformly from the generators and their
+    inverses, then freely reduced.
+
+    Each letter is letters[r], r = rng.getrandbits(k) redrawn while
+    r >= len(letters), with k = len(letters).bit_length(): the draw that
+    rng.choice(letters) makes in CPython 3.11, without its two method calls
+    per letter, so the words and the generator's state after them are
+    rng.choice's.  The tests pin that.
+    """
+    if strands < 2:
+        raise ValueError("need at least 2 strands")
     letters = [a for i in range(1, strands) for a in (i, -i)]
-    return reduce_word(rng.choice(letters) for _ in range(length))
+    n = len(letters)
+    k = n.bit_length()
+    bits = rng.getrandbits
+    out = []
+    for _ in range(length):
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        out.append(letters[r])
+    return reduce_word(out)

@@ -29,7 +29,10 @@ median is worse than the base's by more than the bound (relative to the
 base median), else ``unresolved`` when the base's IQR is wider than the
 bound times its median, else ``within``; a change whose every run beats
 every base run is ``within`` whatever the spread.  A wrong answer in any
-run stops the script with exit 1 and writes nothing.
+run stops the script with exit 1 and writes nothing.  After writing the
+JSON, the script prints one line per workload on stderr, naming the metrics
+whose gain rule holds and each metric whose regression verdict is not
+``within``.
 """
 
 from __future__ import annotations
@@ -128,6 +131,16 @@ def compare(base: dict, change: dict, metrics: dict) -> dict:
     return out
 
 
+def verdict_line(workload: str, compared: dict) -> str:
+    """One workload's verdicts from its compare() result: the metrics whose
+    gain rule holds, and each metric whose regression is not within."""
+    gains = [name for name, v in compared.items() if v["gain_resolved"]]
+    flagged = [f"{name} {v['regression']}" for name, v in compared.items()
+               if v.get("regression", "within") != "within"]
+    return (f"{workload}: gain resolved: {', '.join(gains) or 'none'}; "
+            f"not within: {', '.join(flagged) or 'none'}")
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", type=Path, required=True)
@@ -170,6 +183,8 @@ def main(argv=None) -> int:
             counts_equal=all(b["counts"] == c["counts"]
                              for b, c in zip(runs["base"], runs["change"])))
     args.out.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
+    for workload, summary in result["workloads"].items():
+        print(verdict_line(workload, summary["compare"]), file=sys.stderr)
     return 0
 
 
