@@ -89,20 +89,20 @@ def handle_reduce(word, budget: int = DEFAULT_BUDGET) -> tuple:
                     raise BudgetExceededError(
                         f"handle reduction budget of {budget} reductions exhausted")
                 stack.pop()
-                inner = out[:start:-1]
+                inner = out[:start:-1]  # the interior, last letter first
                 del out[start:]
                 for s in stacks[j + 1:]:
                     while s[-1] >= start:
                         s.pop()
-                # s_step^d inside becomes s_step^-e s_j^d s_step^e, pushed last
-                # letter first, where e is the sign of the handle's opener
+                # each s_(j+1)^d inside becomes s_(j+1)^-e s_j^d s_(j+1)^e, with
+                # e the sign of the opener -a, pushed last letter first
                 step = j + 1
-                e = step if a < 0 else -step
+                t = step if a < 0 else -step  # the letter s_(j+1)^e
                 for b in inner:
                     if b == step:
-                        pending += (e, j, -e)
+                        pending += (t, j, -t)
                     elif b == -step:
-                        pending += (e, -j, -e)
+                        pending += (t, -j, -t)
                     else:
                         push(b)
                 continue

@@ -49,3 +49,23 @@ def test_the_spec_comes_from_benchmark_json():
     assert "cone-search" in spec["workloads"]
     assert spec["metrics"]["wall_s"][0] == "lower"
     assert spec["metrics"]["run.cpu_s"] == ("lower", None)
+
+
+def test_the_verdict_line_names_resolved_gains_and_metrics_not_within():
+    narrow = [9.6, 9.7, 9.8, 9.9, 10, 10, 10.1, 10.2, 10.3, 10.4]
+    wide = [6, 6, 7, 7, 8, 12, 13, 13, 14, 14]
+    runs = {"wall_s": (narrow, [x - 5 for x in narrow]),
+            "setup_s": (narrow, [x + 3 for x in narrow]),
+            "op_tail_ms": (wide, [x + 0.5 for x in wide]),
+            "run.cpu_s": (wide, [x - 7 for x in wide])}
+    base, change = ({"metrics": {name: dict(bench_pairs.quartiles(r[i]), runs=r[i])
+                                 for name, r in runs.items()}} for i in (0, 1))
+    metrics = {"wall_s": ("lower", 0.25), "setup_s": ("lower", 0.25),
+               "op_tail_ms": ("lower", 0.25), "run.cpu_s": ("lower", None)}
+    compared = bench_pairs.compare(base, change, metrics)
+    assert bench_pairs.verdict_line("braid-words", compared) == (
+        "braid-words: gain resolved: wall_s, run.cpu_s; "
+        "not within: setup_s worse, op_tail_ms unresolved")
+    same = bench_pairs.compare(base, base, metrics)
+    assert bench_pairs.verdict_line("battery", same) == (
+        "battery: gain resolved: none; not within: op_tail_ms unresolved")

@@ -10,6 +10,7 @@ from it must give the same sign and level on seeded corpora.
 """
 
 import random
+from collections import deque
 
 import pytest
 
@@ -113,6 +114,85 @@ def test_handle_reduce_is_sign_definite_and_element_preserving():
 def test_budget_exhaustion_raises():
     with pytest.raises(BudgetExceededError):
         handle_reduce((1, 2, -1), budget=0)
+
+
+def _reference_reduce(word) -> tuple:
+    """Handle reduction spelt plainly, with no budget, the referee of
+    handle_reduce: a dict of position stacks that may be empty, a deque of
+    pending letters, and every stack trimmed after a handle fires."""
+    pending = deque(reduce_word(word))
+    out: list = []
+    stacks: dict[int, list] = {}
+    while pending:
+        a = pending.popleft()
+        j = abs(a)
+        if out and out[-1] == -a:
+            top = stacks.get(j)
+            if top and top[-1] == len(out) - 1:
+                top.pop()
+            out.pop()
+            continue
+        stack = stacks.setdefault(j, [])
+        if stack and out[stack[-1]] == -a and not any(
+                s and s[-1] > stack[-1]
+                for k, s in stacks.items() if k < j):
+            start = stack.pop()
+            inner = out[start + 1:]
+            del out[start:]
+            for s in stacks.values():
+                while s and s[-1] >= start:
+                    s.pop()
+            e = 1 if a < 0 else -1
+            step = j + 1
+            repl = []
+            for b in inner:
+                if abs(b) == step:
+                    repl.extend((-e * step, j if b > 0 else -j, e * step))
+                else:
+                    repl.append(b)
+            pending.extendleft(reversed(repl))
+        else:
+            stack.append(len(out))
+            out.append(a)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", [3, 4, 10])
+def test_handle_reduce_matches_the_reference(n):
+    """handle_reduce gives the reference's word on seeded unreduced words
+    of every length band up to 2048 letters, on their mirrors (each s_i^e
+    becomes s_i^-e), and on BLOWUP where it fits."""
+    rng = random.Random(2800 + n)
+    letters = [s * i for i in range(1, n) for s in (1, -1)]
+    words = [BLOWUP] if n > 3 else []
+    for length in (0, 1, 2, 5, 17, 64, 257, 1024, 2048):
+        for _ in range(2 if length > 257 else 8):
+            words.append(tuple(rng.choice(letters) for _ in range(length)))
+    for w in words:
+        for v in (w, tuple(-a for a in w)):
+            assert handle_reduce(v) == _reference_reduce(v), (n, v)
+
+
+# Handle counts of seeded unreduced words over B3, B4 and B10, two each at
+# 32, 128 and 512 letters.  A change to the algorithm moves them; a change
+# to its bookkeeping does not.
+HANDLE_WORK = [7, 2, 64, 45, 224, 102, 9, 13, 73, 25, 605, 1048, 1, 4, 49, 35, 473, 307]
+
+
+def test_handle_reduction_work_is_pinned():
+    """Each word's handle count f, read at the budget edge: budget f is
+    enough and budget f - 1 raises."""
+    rng = random.Random(2801)
+    words = []
+    for n in (3, 4, 10):
+        letters = [s * i for i in range(1, n) for s in (1, -1)]
+        for length in (32, 128, 512):
+            words += [tuple(rng.choice(letters) for _ in range(length)) for _ in range(2)]
+    for w, f in zip(words, HANDLE_WORK, strict=True):
+        assert handle_reduce(w, budget=f) == handle_reduce(w)
+        with pytest.raises(BudgetExceededError):
+            handle_reduce(w, budget=f - 1)
+    assert sum(HANDLE_WORK) == 3086
 
 
 def test_handle_robustness_counts_reduction_budget_failures(monkeypatch):
@@ -327,3 +407,24 @@ def test_random_word_determinism():
     a = [random_word(rng1, 4, 20) for _ in range(3)]
     b = [random_word(rng2, 4, 20) for _ in range(3)]
     assert a == b
+    with pytest.raises(ValueError):
+        random_word(rng1, 1, 5)
+
+
+def _choice_word(rng, strands, length):
+    """random_word spelt with rng.choice, the draw it must reproduce."""
+    letters = [a for i in range(1, strands) for a in (i, -i)]
+    return reduce_word(rng.choice(letters) for _ in range(length))
+
+
+@pytest.mark.parametrize("strands", [2, 3, 4, 10])
+def test_random_word_draws_as_rng_choice(strands):
+    """random_word inlines CPython's getrandbits draw of random.choice, a
+    private routine: on 20,000 seeded words it gives rng.choice's words
+    and leaves the generator in rng.choice's state."""
+    got, want = random.Random(strands), random.Random(strands)
+    for _ in range(20_000):
+        length = want.randint(0, 64)
+        assert got.randint(0, 64) == length
+        assert random_word(got, strands, length) == _choice_word(want, strands, length)
+    assert got.getstate() == want.getstate()

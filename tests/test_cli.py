@@ -345,7 +345,8 @@ def test_computational_errors_exit_one(capsys):
     rc, out = run(capsys, "braid", "reduce", "--strands", "3",
                   "--word", "1 2 -1", "--budget", "0")
     assert rc == 1
-    assert out[0].startswith("error: BudgetExceededError: ")
+    assert out == ["error: BudgetExceededError: "
+                   "handle reduction budget of 0 reductions exhausted"]
     rc, out = run(capsys, "lospace", "enum", "--group", "z2", "--radius", "50")
     assert rc == 1
     assert out[0].startswith("error: SizeLimitError: ")
