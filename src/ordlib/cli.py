@@ -181,7 +181,7 @@ def _parse_entry(text: str, d: int):
     if m is None:
         try:
             return Fraction(text)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise UsageError(f"bad vector entry {text!r}")
     if text[m.end():]:
         raise UsageError(f"bad vector entry {text!r}")
@@ -197,11 +197,11 @@ def _parse_entry(text: str, d: int):
     else:
         try:
             b = Fraction(coeff)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise UsageError(f"bad vector entry {text!r}")
     try:
         a = Fraction(rational) if rational else Fraction(0)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise UsageError(f"bad vector entry {text!r}")
     return QuadRat(a, b, d)
 
@@ -231,7 +231,7 @@ def _parse_matrix(text: str) -> tuple:
     for chunk in body[2:-2].split("],["):
         try:
             rows.append(tuple(Fraction(x) for x in chunk.split(",")))
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise UsageError(f"bad matrix {text!r}")
     if any(len(r) != len(rows) for r in rows):
         raise UsageError(f"matrix must be square, got {text!r}")

@@ -326,9 +326,10 @@ def extend_partial_cone(cone: PartialCone, group: Group, radius2: int,
 def isolator_member(group: Group, h, g) -> bool:
     """Is h in the isolator of <g>, that is, is some h^n with n > 0 a power
     of g?  Exact: h = 1, or h shares its ray with g or with g^-1."""
-    if group.is_identity(g):
+    identity = group.key(group.identity)
+    if group.key(g) == identity:
         raise ValueError("the isolator of the identity is not considered")
-    if group.is_identity(h):
+    if group.key(h) == identity:
         return True
     return group.ray(h) in (group.ray(g), group.ray(group.invert(g)))
 

@@ -7,13 +7,17 @@ sign is the sign of the coefficient on its least nonconstant monomial in
 coefficient of degree at most d exactly, so the sign is found by expanding
 letter by letter at truncation 1, 2, 4, ... until some monomial survives; a
 nontrivial reduced word always has one.  No truncation choice can change a
-sign, only the time it takes.  The resulting ordering of the free group is
-invariant under conjugation on both sides.
+sign, only the time it takes.  Each letter is one step on a
+{monomial: coefficient} dict: x keeps every term and adds it times X, and
+x^-1 adds it times (-X)^j for every j the truncation leaves room for.  The
+resulting ordering of the free group is invariant under conjugation on both
+sides.
 
 A second family of orderings is not: close one generator into its normal
 closure N, a free group on the shifted conjugates x_i = y^i x y^-i, and let N
-dominate.  A word is positive when its N-part is series-positive, or when the
-N-part is trivial and the leftover power of y is positive.  Conjugating by y
+dominate.  One walk reads a word as its N-part and the leftover power of y.
+The word is positive when its N-part is series-positive, or when the N-part
+is trivial and the leftover power of y is positive.  Conjugating by y
 shifts the x_i and preserves signs, but conjugating by x can move a positive
 word onto a pure negative power of y.
 """
@@ -136,9 +140,6 @@ class FreeGroup(WordGroup):
                        and core == core[:d] * (n // d)), n)
         return (g[:i], core[:period])
 
-    def exponent_sum(self, g, index: int) -> int:
-        return sum(1 if a == index else -1 if a == -index else 0 for a in g)
-
 
 def free_group(rank: int, names: tuple = ()) -> FreeGroup:
     return FreeGroup(rank, names)
@@ -185,85 +186,47 @@ def parse_word(group: FreeGroup, text: str) -> tuple:
     return reduce_word(letters)
 
 
-class TruncSeries:
-    """A power series in noncommuting variables, truncated by total degree.
-
-    Terms map monomials, stored as tuples of comparable variable labels, to
-    integer coefficients.
-    """
-
-    __slots__ = ("degree", "terms")
-
-    def __init__(self, degree: int, terms: dict):
-        self.degree = degree
-        self.terms = terms
-
-    @classmethod
-    def unit(cls, degree: int) -> "TruncSeries":
-        return cls(degree, {(): 1})
-
-    def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        cap = self.degree
-        out: dict = {}
-        right = sorted(other.terms.items(), key=lambda t: len(t[0]))
-        for m1, c1 in self.terms.items():
-            room = cap - len(m1)
-            for m2, c2 in right:
-                if len(m2) > room:
-                    break
-                key = m1 + m2
-                acc = out.get(key, 0) + c1 * c2
-                if acc:
-                    out[key] = acc
-                elif key in out:
-                    del out[key]
-        return TruncSeries(cap, out)
-
-    def minimal_term(self):
-        """The least nonconstant monomial in (degree, lex) order, with its
-        coefficient, or None if the series is 1 + O(degree+1)."""
-        best = None
-        for mono in self.terms:
-            if mono and (best is None or (len(mono), mono) < (len(best), best)):
-                best = mono
-        return None if best is None else (best, self.terms[best])
-
-
-def _letter_series(label, e: int, degree: int) -> TruncSeries:
-    # x -> 1 + X, x^-1 -> 1 - X + X^2 - ... up to the truncation degree
-    if e == 1:
-        return TruncSeries(degree, {(): 1, (label,): 1})
-    terms = {(label,) * j: (-1) ** j for j in range(degree + 1)}
-    return TruncSeries(degree, terms)
-
-
-def expand_letters(pairs, degree: int) -> TruncSeries:
-    """Expand a word given as (label, sign) pairs, truncated at ``degree``.
-
-    One pass over the letters, multiplying by each letter's series; every
-    coefficient of degree at most ``degree`` is exact.
-    """
-    series = TruncSeries.unit(degree)
+def expand_letters(pairs, degree: int) -> dict:
+    """The series of a word given as (label, sign) pairs, truncated at total
+    degree ``degree``, as a {monomial: coefficient} dict keyed by tuples of
+    labels.  One step per letter, zero coefficients dropped after each;
+    every coefficient of degree at most ``degree`` is exact."""
+    terms = {(): 1}
     for label, e in pairs:
-        series = series * _letter_series(label, e, degree)
-    return series
+        out = dict(terms)
+        for m, c in terms.items():
+            # the term times (eX)^j: j = 1 for x, every j with room for x^-1
+            for _ in range(degree - len(m) if e < 0 else min(1, degree - len(m))):
+                m += (label,)
+                c *= e
+                out[m] = out.get(m, 0) + c
+        terms = {m: c for m, c in out.items() if c}
+    return terms
 
 
-def series_sign(pairs, cap: int = ESCALATION_CAP) -> int:
+def least_term(terms: dict):
+    """The least nonconstant monomial of an expansion in (degree, lex)
+    order, with its coefficient, or None if the series is 1 + O(degree+1)."""
+    best = min((m for m in terms if m), key=lambda m: (len(m), m), default=None)
+    return None if best is None else (best, terms[best])
+
+
+def series_sign(pairs) -> int:
     """Sign of the least nonconstant monomial's coefficient, expanding at
-    truncation 1, 2, 4, ... up to ``cap`` until some monomial survives."""
+    truncation 1, 2, 4, ... up to ESCALATION_CAP until some monomial
+    survives."""
     pairs = tuple(pairs)
     if not pairs:
         return 0
     d = 1
     while True:
-        term = expand_letters(pairs, d).minimal_term()
+        term = least_term(expand_letters(pairs, d))
         if term is not None:
             return 1 if term[1] > 0 else -1
-        if d >= cap:
+        if d >= ESCALATION_CAP:
             raise InconclusiveTruncationError(
                 f"expansion is trivial up to degree {d}; the word may need a larger cap")
-        d = min(2 * d, cap)
+        d = min(2 * d, ESCALATION_CAP)
 
 
 def _word_pairs(word):
@@ -283,12 +246,11 @@ def magnus_oracle(group: FreeGroup) -> SignOracle:
     return SignOracle(group=group, fn=magnus_sign, descriptor="series[deg6]")
 
 
-def closure_rewrite(group: FreeGroup, word, closed: int):
-    """Rewrite a word of the normal closure of generator ``closed`` in terms
-    of the conjugate generators x_i = y^i x y^-i, as (i, sign) pairs.
-
-    The word must have zero exponent sum in the other generator.
-    """
+def closure_rewrite(word, closed: int):
+    """Read a word in one walk as (pairs, t): its part in the normal closure
+    of generator ``closed``, spelled in the conjugate generators
+    x_i = y^i x y^-i as (i, sign) pairs, and the leftover exponent t of the
+    other generator y, so that the word is that part times y^t."""
     other = 3 - closed
     t = 0
     pairs = []
@@ -297,20 +259,16 @@ def closure_rewrite(group: FreeGroup, word, closed: int):
             t += 1 if a > 0 else -1
         else:
             pairs.append((t, 1 if a > 0 else -1))
-    if t != 0:
-        raise ValueError("word is not in the normal closure")
-    return tuple(pairs)
+    return tuple(pairs), t
 
 
 def closure_lex_sign(group: FreeGroup, word, closed: int = 1) -> int:
     if group.rank != 2:
         raise ValueError("closure ordering is defined for rank 2")
-    other = 3 - closed
-    e = group.exponent_sum(word, other)
-    kpart = group.multiply(word, (other,) * (-e) if e < 0 else (-other,) * e)
-    if not kpart:
-        return 0 if e == 0 else (1 if e > 0 else -1)
-    return series_sign(closure_rewrite(group, kpart, closed))
+    pairs, t = closure_rewrite(word, closed)
+    if pairs:
+        return series_sign(pairs)
+    return (t > 0) - (t < 0)
 
 
 def closure_lex_oracle(group: FreeGroup, closed: int = 1) -> SignOracle:

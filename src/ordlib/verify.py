@@ -178,12 +178,12 @@ def suite_least_elements():
     for n in (3, 4):
         bn = braid_group(n)
         least = least_positive_in_ball(dehornoy_oracle(bn), bn, 4)
-        ok = bn.same(least, (n - 1,))
+        ok = bn.key(least) == bn.key((n - 1,))
         facts[f"B{n}/dehornoy"] = bn.label(least)
         passed = passed and ok
         for i in range(1, n):
             least = least_positive_in_ball(ordering_oracle(bn, i), bn, 3)
-            ok = bn.same(least, (i,))
+            ok = bn.key(least) == bn.key((i,))
             facts[f"B{n}/least[s{i}]"] = bn.label(least)
             passed = passed and ok
     return passed, facts
@@ -411,7 +411,7 @@ def suite_extension_pipeline():
     report = _cone_report(pg, g_group(), 4)
     facts["axioms(4)"] = "pass" if report.passed else "fail"
     least = g_least_positive(3)
-    least_ok = g_group().same(least, (k_group().identity, 1))
+    least_ok = g_group().key(least) == g_group().key((k_group().identity, 1))
     facts["least(3)"] = g_group().label(least)
     flip = check_bi_invariance(pg, g_group(), 3)
     if flip is None:

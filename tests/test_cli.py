@@ -314,6 +314,14 @@ def test_verify_single_suite(capsys):
     ("braid", "least", "--strands", "1001", "--radius", "1"),
     ("free", "sign", "--word", "x", "--rank", "0"),
     ("free", "sign", "--word", "x", "--rank", "1001"),
+    # a zero denominator is a bad entry, not a ZeroDivisionError traceback
+    ("abelian", "star", "--matrix", "[[1,0],[0,1/0]]"),
+    ("abelian", "eigen", "--matrix", "[[1/0,0],[0,1]]"),
+    ("lospace", "star", "--group", "z2", "--matrix", "[[1/0,0],[0,1]]"),
+    ("abelian", "vlo", "--first", "(1,0)", "--second", "(0,1)",
+     "--basis1", "[[1/0,0],[0,1]]"),
+    ("abelian", "sign", "--flag", "(1,0)", "--vector", "(1/0,1)"),
+    ("abelian", "sign", "--flag", "(1/0√2,1)", "--vector", "(1,1)"),
 ])
 def test_usage_errors_exit_two(capsys, argv):
     start = time.perf_counter()
@@ -446,11 +454,13 @@ _BRAID_WORDS = ["1 2 -1", "-1 2", "", "0", "5", "x", "1,-3", "2,2,-1",
 _MATRICES = ["[[1,2],[1,1]]", "[[3,0],[0,2]]", "[[2,0],[0,2]]",
              "[[0,0],[0,0]]", "[[1,1],[0,1]]", "[[0,1],[1,1]]", "[[1,2]",
              "[[a,b],[c,d]]", "[[1/2,0],[0,1]]", "[[1,0,0],[0,2,0],[0,0,3]]",
-             "[[1,2],[3]]", "[[-1,0],[0,-1]]"]
+             "[[1,2],[3]]", "[[-1,0],[0,-1]]", "[[1,0],[0,1/0]]"]
 _FLAGS = ["(1,0);(0,1)", "(√2,1)", "(-√2,1)", "(sqrt2,1)", "(1+√2,1)",
           "(√3,1)", "(√5,1)", "(1,1/1000);(0,1)", "(0,0)", "(1,", "",
-          "(2,0);(0,2)", "(1,0,0);(0,1,0);(0,0,1)", "(3/2√2,1)", "(√4,1)"]
-_VECTORS = ["(1,1)", "(0,-3)", "(1,-2)", "(√2,1)", "()", "(1,2,3)", "(x,1)"]
+          "(2,0);(0,2)", "(1,0,0);(0,1,0);(0,0,1)", "(3/2√2,1)", "(√4,1)",
+          "(1/0√2,1)"]
+_VECTORS = ["(1,1)", "(0,-3)", "(1,-2)", "(√2,1)", "()", "(1,2,3)", "(x,1)",
+            "(1/0,1)"]
 _D = ["2", "3", "5", "1", "0", "-7", "4", str(10**18 - 11), "1000000007", "x"]
 _RADII = ["-3", "-1", "0", "1", "2", "3", "x", ""]
 _INTS = ["-2", "0", "1", "2", "3", "x"]

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import ordlib.magnus as magnus
 from ordlib.core import (
     InconclusiveTruncationError,
     act_automorphism,
@@ -24,6 +25,7 @@ from ordlib.magnus import (
     free_group,
     free_probe,
     free_probe_catalog,
+    least_term,
     magnus_oracle,
     magnus_sign,
     parse_word,
@@ -78,11 +80,11 @@ def test_labels_and_ball():
 
 
 def test_expansion_terms():
-    x = expand_letters(((1, 1),), 4).terms
+    x = expand_letters(((1, 1),), 4)
     assert x == {(): 1, (1,): 1}
-    xinv = expand_letters(((1, -1),), 3).terms
+    xinv = expand_letters(((1, -1),), 3)
     assert xinv == {(): 1, (1,): -1, (1, 1): 1, (1, 1, 1): -1}
-    comm = expand_letters(tuple((abs(a), 1 if a > 0 else -1) for a in COMM), 2).terms
+    comm = expand_letters(tuple((abs(a), 1 if a > 0 else -1) for a in COMM), 2)
     assert comm[(1, 2)] == 1 and comm[(2, 1)] == -1
     assert (1,) not in comm and (2,) not in comm
 
@@ -98,11 +100,80 @@ def test_magnus_signs():
     assert magnus_sign(DEEP) == 1
 
 
-def test_escalation_and_cap():
+def test_escalation_and_cap(monkeypatch):
     pairs = tuple((abs(a), 1 if a > 0 else -1) for a in DEEP)
-    assert series_sign(pairs, cap=8) == 1
+    assert magnus.ESCALATION_CAP >= 8
+    monkeypatch.setattr(magnus, "ESCALATION_CAP", 8)
+    assert series_sign(pairs) == 1
+    monkeypatch.setattr(magnus, "ESCALATION_CAP", 2)
     with pytest.raises(InconclusiveTruncationError):
-        series_sign(pairs, cap=2)
+        series_sign(pairs)
+
+
+def _pairs(letters):
+    return tuple((abs(a), 1 if a > 0 else -1) for a in letters)
+
+
+def _reference_expansion(pairs, degree):
+    """The definition: the product of the letter series, x -> 1 + X and
+    x^-1 -> 1 - X + X^2 - ..., each truncated at ``degree``, multiplied as
+    plain dicts."""
+    terms = {(): 1}
+    for label, e in pairs:
+        letter = ({(): 1, (label,): 1} if e > 0
+                  else {(label,) * j: (-1) ** j for j in range(degree + 1)})
+        out = {}
+        for m1, c1 in terms.items():
+            for m2, c2 in letter.items():
+                if len(m1) + len(m2) <= degree:
+                    out[m1 + m2] = out.get(m1 + m2, 0) + c1 * c2
+        terms = {m: c for m, c in out.items() if c}
+    return terms
+
+
+def test_expansion_matches_the_definition():
+    """Seeded F2 words of 0-64 letters and closure pair sequences with
+    labels -3..3, at every truncation 1-8."""
+    rng = random.Random(29)
+    lengths = [0, 64] + [rng.randint(1, 63) for _ in range(16)]
+    cases = [_pairs(_walk(rng, n)) for n in lengths]
+    # unreduced letter sequences expand as well
+    cases += [_pairs(rng.choice((1, -1, 2, -2)) for _ in range(n)) for n in lengths[:8]]
+    # 7 labels make the expansion grow fast, so these stay short
+    cases += [tuple((rng.randint(-3, 3), rng.choice((1, -1)))
+                    for _ in range(rng.randint(0, 10))) for _ in range(60)]
+    for pairs in cases:
+        for degree in range(1, 9):
+            assert expand_letters(pairs, degree) == _reference_expansion(pairs, degree), (
+                pairs, degree)
+
+
+def _three_step_closure_sign(word, closed):
+    """The closure sign read in three steps: the exponent sum e of the other
+    generator y, the closure part w y^-e, and that part rewritten in the
+    conjugates y^i x y^-i and signed as a series."""
+    other = 3 - closed
+    e = sum(1 if a == other else -1 if a == -other else 0 for a in word)
+    kpart = F2.multiply(word, (other,) * (-e) if e < 0 else (-other,) * e)
+    if not kpart:
+        return 0 if e == 0 else (1 if e > 0 else -1)
+    t, pairs = 0, []
+    for a in kpart:
+        if abs(a) == other:
+            t += 1 if a > 0 else -1
+        else:
+            pairs.append((t, 1 if a > 0 else -1))
+    assert t == 0
+    return series_sign(pairs)
+
+
+def test_closure_sign_matches_three_steps():
+    rng = random.Random(2929)
+    words = F2.ball(5) + [_walk(rng, rng.randint(0, 24)) for _ in range(5000)]
+    for closed in (1, 2):
+        for w in words:
+            assert closure_lex_sign(F2, w, closed) == _three_step_closure_sign(w, closed), (
+                w, closed)
 
 
 def _walk(rng, length):
@@ -130,13 +201,14 @@ def _commutators(rng, count):
 
 
 def _truncation_8_sign(pairs):
-    term = expand_letters(pairs, 8).minimal_term()
+    term = least_term(expand_letters(pairs, 8))
     return None if term is None else (1 if term[1] > 0 else -1)
 
 
 def test_signs_match_truncation_8():
-    # expanding at truncation 8 costs about 0.4 ms per letter past 16 letters
-    # (2-core x86-64, CPython 3.11), so most walks are short and a few reach 64
+    # expanding at truncation 8 costs about 0.25 ms per letter at 16 letters
+    # and 0.5 ms at 64 (2-vCPU x86-64, CPython 3.11.7), so most walks are
+    # short and a few reach 64
     rng = random.Random(2016)
     words = [_walk(rng, round(math.exp(rng.uniform(0, math.log(20)))))
              for _ in range(1840)]
@@ -160,7 +232,7 @@ def test_signs_match_truncation_8():
         if w:
             closure.append(w)
     for w in closure:
-        want = _truncation_8_sign(closure_rewrite(F2, w, 1))
+        want = _truncation_8_sign(closure_rewrite(w, 1)[0])
         if want is not None:
             decided += 1
             assert closure_lex_sign(F2, w) == want, w
@@ -188,11 +260,12 @@ def test_series_ordering_is_bi_invariant():
 
 
 def test_closure_rewrite():
-    assert closure_rewrite(F2, (1,), 1) == ((0, 1),)
-    assert closure_rewrite(F2, (2, 1, -2), 1) == ((1, 1),)
-    assert closure_rewrite(F2, (1, 2, 1, -2), 1) == ((0, 1), (1, 1))
-    with pytest.raises(ValueError):
-        closure_rewrite(F2, (2,), 1)
+    assert closure_rewrite((1,), 1) == (((0, 1),), 0)
+    assert closure_rewrite((2, 1, -2), 1) == (((1, 1),), 0)
+    assert closure_rewrite((1, 2, 1, -2), 1) == (((0, 1), (1, 1)), 0)
+    assert closure_rewrite((2,), 1) == ((), 1)
+    assert closure_rewrite((-2, 1, -2, -1), 1) == (((-1, 1), (-2, -1)), -2)
+    assert closure_rewrite((1, -2, 1), 2) == (((1, -1),), 2)
 
 
 def test_closure_lex_signs():
