@@ -74,6 +74,7 @@ from .lattice import (
 from .lospace import (
     check_ball_size,
     condition_star_check,
+    count_partial_cones,
     enumerate_partial_cones,
     extend_partial_cone,
 )
@@ -378,6 +379,9 @@ def cmd_abelian_vlo(args) -> int:
     f2 = _parse_flag(args.second, args.d)
     basis1 = _parse_matrix(args.basis1) if args.basis1 else None
     basis2 = _parse_matrix(args.basis2) if args.basis2 else None
+    for flag in (f1, f2):
+        if not flag.is_total():
+            raise TotalityError(f"{flag.descriptor()} is not total")
     equal, witness = vlo_equal(f1, f2, basis1, basis2)
     if equal:
         print("equal")
@@ -443,12 +447,13 @@ def cmd_ext_least(args) -> int:
 
 def cmd_lospace_enum(args) -> int:
     group = _lospace_group(args.group)
+    if not args.show:
+        print(f"count: {count_partial_cones(group, args.radius)}")
+        return 0
     cones = enumerate_partial_cones(group, args.radius)
     print(f"count: {len(cones)}")
-    if args.show:
-        for cone in cones:
-            print()
-            print(cone.serialize())
+    for cone in cones:
+        print(f"\n{cone.serialize()}")
     return 0
 
 

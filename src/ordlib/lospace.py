@@ -15,13 +15,13 @@ product 1 and the clause "not all three positive"; the clause is built
 once per rotation class of its triple.  Literals are integer codes, and
 the clause index is one flat list per literal holding the other two codes
 of each clause that contains it, so a new assignment reads only the
-clauses of the literal it makes false.  Propagation runs on one array of
-literal values, and branching is positive-first, so the output comes back
-in a canonical order; each solution is kept as a byte copy of that array,
-and a cone's signs are read off it with one itemgetter.  The clause index is built once per ball and shared by
-every enumeration and extension on it; it is dropped with the ball, so the
-group's ball cache bounds it.  Each search keeps only its own value array,
-trail and node count.
+clauses of the literal it makes false.  The search is one loop over a
+stack of open choices, positive branch first, that yields each solution's
+literal values as it finds them, in a canonical order: a caller reads a
+cone's signs off them with one itemgetter, stops early, or only counts.
+The clause index is built once per ball and shared by every search on it;
+it is dropped with the ball, so the group's ball cache bounds it.  Each
+search keeps only its own value list, trail, stack and node count.
 
 Isolator membership and the power-agreement condition are exact: both
 compare the groups' ray keys, which are equal exactly when two elements
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter
 
 from .core import (
@@ -45,6 +46,7 @@ from .core import (
 __all__ = [
     "PartialCone",
     "check_ball_size",
+    "count_partial_cones",
     "enumerate_partial_cones",
     "extend_partial_cone",
     "isolator_member",
@@ -207,21 +209,16 @@ def _clause_index(group: Group, radius: int) -> _ClauseIndex:
 class _ConeSearch:
     """One search's solver state over the shared clause index of a ball:
     the literal values (1 true, -1 false, 0 unassigned, by code), the trail
-    of codes set true, and the nodes spent against node_limit."""
+    of codes set true, and the nodes spent against DEFAULT_NODE_LIMIT."""
 
-    def __init__(self, group: Group, radius: int, node_limit: int):
-        self.group = group
-        self.radius = radius
+    def __init__(self, group: Group, radius: int):
         index = _clause_index(group, radius)
         self.impossible = index.impossible
         self.nvars, self.code = index.nvars, index.code
         self.watch, self.signs = index.watch, index.signs
-        self.limit = node_limit
+        self.limit = DEFAULT_NODE_LIMIT
         self.nodes = 0
-        # signed bytes, so a solution is kept as a copy of a byte per literal:
-        # a search stopped at its node limit may hold one for every few nodes
-        self.val = memoryview(bytearray(2 * self.nvars + 1)).cast("b")
-        self.val[2 * self.nvars] = -1
+        self.val = [0] * (2 * self.nvars) + [-1]
         self.trail = []
 
     def _propagate(self, pending: list) -> bool:
@@ -253,37 +250,34 @@ class _ConeSearch:
                     pending.append(b if val[a] else a)
         return True
 
-    def solutions(self, preset, max_results=None) -> list:
-        """The literal values of every solution extending the preset codes,
-        in canonical order."""
-        if self.impossible:
-            return []
-        out = []
-        if self._propagate(list(preset)):
-            self._dfs(0, out, max_results)
-        return out
-
-    def _dfs(self, start: int, out: list, max_results):
-        val, trail = self.val, self.trail
-        v = start
-        while v < self.nvars and val[2 * v]:
-            v += 1
-        if v == self.nvars:
-            out.append(val.tobytes())
+    def solutions(self, preset):
+        """Yield the live literal values of every solution extending the
+        preset codes, in canonical order: read each before the next."""
+        if self.impossible or not self._propagate(list(preset)):
             return
-        for c in (2 * v, 2 * v + 1):
-            mark = len(trail)
-            if self._propagate([c]):
-                self._dfs(v + 1, out, max_results)
-            while len(trail) > mark:
-                t = trail.pop()
-                val[t] = val[t ^ 1] = 0
-            if max_results is not None and len(out) >= max_results:
-                return
-
-    def cone(self, solution: bytes) -> PartialCone:
-        signs = self.signs(memoryview(solution).cast("b"))
-        return PartialCone(self.group, self.radius, signs)
+        val, trail, nvars = self.val, self.trail, self.nvars
+        # open choices: a variable's negative code, tried once its positive
+        # branch is exhausted, and the trail length before that branch
+        stack = []
+        v = 0
+        while True:
+            while v < nvars and val[2 * v]:
+                v += 1
+            if v == nvars:
+                yield val
+                c = None
+            else:
+                stack.append((2 * v + 1, len(trail)))
+                c = 2 * v
+            # on a conflict or a solution, back up to the last open choice
+            while c is None or not self._propagate([c]):
+                if not stack:
+                    return
+                c, mark = stack.pop()
+                while len(trail) > mark:
+                    t = trail.pop()
+                    val[t] = val[t ^ 1] = 0
+            v = (c >> 1) + 1
 
 
 def _check_max_results(max_results) -> None:
@@ -292,25 +286,29 @@ def _check_max_results(max_results) -> None:
 
 
 def enumerate_partial_cones(group: Group, radius: int,
-                            node_limit: int = DEFAULT_NODE_LIMIT,
                             max_results: int | None = None) -> list:
     """All partial cones on ball(radius), in canonical order; max_results
     stops the search once that many exist, keeping the first ones."""
     _check_max_results(max_results)
-    search = _ConeSearch(group, radius, node_limit)
-    return [search.cone(a) for a in search.solutions((), max_results)]
+    search = _ConeSearch(group, radius)
+    return [PartialCone(group, radius, search.signs(val))
+            for val in islice(search.solutions(()), max_results)]
+
+
+def count_partial_cones(group: Group, radius: int) -> int:
+    """The number of partial cones on ball(radius); none is built."""
+    return sum(1 for _ in _ConeSearch(group, radius).solutions(()))
 
 
 def extend_partial_cone(cone: PartialCone, group: Group, radius2: int,
-                        max_results: int | None = None,
-                        node_limit: int = DEFAULT_NODE_LIMIT) -> list:
+                        max_results: int | None = None) -> list:
     """All completions of the cone to ball(radius2); an empty list
     certifies that no ordering-restriction through radius2 agrees with it.
     max_results stops the search early once enough completions exist."""
     if radius2 <= cone.radius:
         raise ValueError("extension radius must exceed the cone's radius")
     _check_max_results(max_results)
-    search = _ConeSearch(group, radius2, node_limit)
+    search = _ConeSearch(group, radius2)
     data = group.ball_data(radius2)
     preset = []
     for g, s in zip(cone.elements(), cone.signs):
@@ -320,7 +318,8 @@ def extend_partial_cone(cone: PartialCone, group: Group, radius2: int,
                 f"cone element {group.label(g)} is missing from ball({radius2})")
         code = search.code[idx]
         preset.append(code if s > 0 else code ^ 1)
-    return [search.cone(a) for a in search.solutions(preset, max_results)]
+    return [PartialCone(group, radius2, search.signs(val))
+            for val in islice(search.solutions(preset), max_results)]
 
 
 def isolator_member(group: Group, h, g) -> bool:

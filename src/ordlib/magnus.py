@@ -5,7 +5,7 @@ x to 1 + X and each inverse to the alternating geometric series.  The word's
 sign is the sign of the coefficient on its least nonconstant monomial in
 (degree, lex) order.  Truncating at total degree d computes every
 coefficient of degree at most d exactly, so the sign is found by expanding
-letter by letter at truncation 1, 2, 4, ... until some monomial survives; a
+letter by letter at truncation 1, 2, 3, ... until some monomial survives; a
 nontrivial reduced word always has one.  No truncation choice can change a
 sign, only the time it takes.  Each letter is one step on a
 {monomial: coefficient} dict: x keeps every term and adds it times X, and
@@ -213,8 +213,8 @@ def least_term(terms: dict):
 
 def series_sign(pairs) -> int:
     """Sign of the least nonconstant monomial's coefficient, expanding at
-    truncation 1, 2, 4, ... up to ESCALATION_CAP until some monomial
-    survives."""
+    truncation 1, 2, 3, ... up to ESCALATION_CAP until some monomial
+    survives, so the last expansion is at the least term's degree."""
     pairs = tuple(pairs)
     if not pairs:
         return 0
@@ -226,7 +226,7 @@ def series_sign(pairs) -> int:
         if d >= ESCALATION_CAP:
             raise InconclusiveTruncationError(
                 f"expansion is trivial up to degree {d}; the word may need a larger cap")
-        d = min(2 * d, ESCALATION_CAP)
+        d += 1
 
 
 def _word_pairs(word):

@@ -5,6 +5,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -139,11 +140,23 @@ def test_abelian_eigen_star_vlo(capsys):
     rc, out = run(capsys, "abelian", "vlo", "--first", "(1,0);(0,1)",
                   "--second", "(-1,0);(0,-1)")
     assert (rc, out) == (0, ["differ, witness (1,0)"])
-    rc, out = run(capsys, "abelian", "vlo", "--first", "(1,0)", "--second", "(0,1)")
-    assert (rc, out) == (0, ["differ, witness (1,0)"])
+    rc, out = run(capsys, "abelian", "vlo", "--first", "(1,0);(0,1)",
+                  "--second", "(0,1);(1,0)")
+    assert (rc, out) == (0, ["differ, witness (1,-1)"])
     rc, out = run(capsys, "abelian", "vlo", "--first", "(1,0);(0,1)",
                   "--second", "(1,1/1000);(0,1)")
     assert (rc, out) == (0, ["differ, no witness in ball(24)"])
+
+
+@pytest.mark.parametrize("first,second,bad", [
+    ("(0,0)", "(0,0)", "(0,0)"),
+    ("(1,0)", "(2,0)", "(1,0)"),
+    ("(1,0)", "(1,0);(0,1)", "(1,0)"),
+    ("(1,0);(0,1)", "(0,1)", "(0,1)"),
+])
+def test_abelian_vlo_refuses_a_flag_that_is_not_total(capsys, first, second, bad):
+    rc, out = run(capsys, "abelian", "vlo", "--first", first, "--second", second)
+    assert (rc, out) == (1, [f"error: TotalityError: flag[{bad}] is not total"])
 
 
 def _unit_flag(rank, last=0):
@@ -222,6 +235,19 @@ def test_lospace_commands(capsys):
     rc, out = run(capsys, "lospace", "separate", "--group", "klein",
                   "--first", "++", "--second", "++")
     assert (rc, out) == (0, ["none"])
+
+
+def test_lospace_count_stores_no_cones(capsys):
+    """The count comes from the solver's stream: 15,768 cones are counted
+    within a 4 MB allocation peak, with no cone or solution kept."""
+    tracemalloc.start()
+    try:
+        rc, out = run(capsys, "lospace", "enum", "--group", "f2", "--radius", "4")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rc, out) == (0, ["count: 15768"])
+    assert peak < 4 << 20
 
 
 def test_lospace_extend_stops_at_the_index(capsys, monkeypatch):

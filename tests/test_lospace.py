@@ -21,6 +21,7 @@ from ordlib.lattice import lattice_group, mat_from_rows, row_times_mat
 from ordlib.lospace import (
     PartialCone,
     condition_star_check,
+    count_partial_cones,
     enumerate_partial_cones,
     extend_partial_cone,
     isolator_member,
@@ -135,9 +136,10 @@ def test_extension_needs_a_positive_result_cap(max_results):
     assert len(extend_partial_cone(cone, Z2, 2, max_results=1)) == 1
 
 
-def test_node_limit_and_ball_cap():
+def test_node_limit_and_ball_cap(monkeypatch):
+    monkeypatch.setattr(lospace, "DEFAULT_NODE_LIMIT", 3)
     with pytest.raises(SizeLimitError):
-        enumerate_partial_cones(free_group(2), 2, node_limit=3)
+        enumerate_partial_cones(free_group(2), 2)
     with pytest.raises(SizeLimitError):
         enumerate_partial_cones(Z2, 50)
 
@@ -172,13 +174,18 @@ def test_extensions_share_one_clause_set(monkeypatch):
     assert len(built) == 1 + 2 * len(cones)
 
 
-def test_node_limit_applies_per_call():
+def test_node_limit_applies_per_call(monkeypatch):
     group = free_group(2)
     full = enumerate_partial_cones(group, 2)
-    with pytest.raises(SizeLimitError, match="exceeded 3 nodes"):
-        enumerate_partial_cones(group, 2, node_limit=3)
-    with pytest.raises(SizeLimitError, match="exceeded 3 nodes"):
-        extend_partial_cone(enumerate_partial_cones(group, 1)[0], group, 2, node_limit=3)
+    first = enumerate_partial_cones(group, 1)[0]
+    with monkeypatch.context() as m:
+        m.setattr(lospace, "DEFAULT_NODE_LIMIT", 3)
+        with pytest.raises(SizeLimitError, match="exceeded 3 nodes"):
+            enumerate_partial_cones(group, 2)
+        with pytest.raises(SizeLimitError, match="exceeded 3 nodes"):
+            extend_partial_cone(first, group, 2)
+        with pytest.raises(SizeLimitError, match="exceeded 3 nodes"):
+            count_partial_cones(group, 2)
     assert [c.signs for c in enumerate_partial_cones(group, 2)] == [c.signs for c in full]
 
 
@@ -232,9 +239,27 @@ def test_watch_lists_hold_each_product_clause_once(group, radius, nodes, count):
 
 @pytest.mark.parametrize("group,radius,nodes,count", SOLVER_WORK, ids=WORK_IDS)
 def test_solver_work_is_pinned(group, radius, nodes, count):
-    search = lospace._ConeSearch(group, radius, lospace.DEFAULT_NODE_LIMIT)
-    assert len(search.solutions(())) == count
+    search = lospace._ConeSearch(group, radius)
+    assert sum(1 for _ in search.solutions(())) == count
     assert search.nodes == nodes
+    assert count_partial_cones(group, radius) == count
+
+
+# solver nodes spent up to the third cone of each SOLVER_WORK search
+HEAD_NODES = [152, 33, 36, 29, 83, 60, 69]
+
+
+@pytest.mark.parametrize("work,head_nodes", zip(SOLVER_WORK, HEAD_NODES), ids=WORK_IDS)
+def test_first_cones_stop_the_search(work, head_nodes):
+    """The first three cones are the head of the full list, and taking
+    them spends the nodes up to the third solution and no more."""
+    group, radius, _, _ = work
+    search = lospace._ConeSearch(group, radius)
+    head = [search.signs(val) for val in itertools.islice(search.solutions(()), 3)]
+    assert search.nodes == head_nodes
+    full = enumerate_partial_cones(group, radius)
+    assert head == [c.signs for c in full[:3]]
+    assert enumerate_partial_cones(group, radius, max_results=3) == full[:3]
 
 
 @pytest.mark.parametrize("group", [Z2, F2, KLEIN], ids=["Z2", "F2", "Klein"])

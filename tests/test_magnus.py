@@ -110,6 +110,24 @@ def test_escalation_and_cap(monkeypatch):
         series_sign(pairs)
 
 
+def test_escalation_steps_the_degree(monkeypatch):
+    """[[[[x, y], x], x], x] has its least term at degree 5, and the
+    expansion steps up to it one degree at a time."""
+    word = (1,)
+    for a in (2, 1, 1, 1):
+        word = reduce_word(word + (a,) + F2.invert(word) + (-a,))
+    degrees = []
+    expand = magnus.expand_letters
+
+    def recorded(pairs, degree):
+        degrees.append(degree)
+        return expand(pairs, degree)
+
+    monkeypatch.setattr(magnus, "expand_letters", recorded)
+    assert series_sign(_pairs(word)) == -1
+    assert degrees == [1, 2, 3, 4, 5]
+
+
 def _pairs(letters):
     return tuple((abs(a), 1 if a > 0 else -1) for a in letters)
 
