@@ -6,8 +6,9 @@ the ball are positive.  Restrictions of genuine orderings are partial
 cones; enumerating all of them and searching for extensions to larger
 balls gives desk-scale evidence about the full ordering space, such as the
 Klein group's four orderings exhausting what radius-6 data allows.  A cone
-is stored as one sign per element of ``ball(radius)[1:]``, in canonical
-ball order; the ball's key index says which element each sign belongs to.
+is stored as one signed byte per inverse pair of the ball, the sign of the
+pair's first element in canonical ball order; the ball's literal codes say
+which pair, and which side of it, each element is.
 
 Enumeration is a small backtracking solver with one boolean per inverse
 pair.  Each product gh = k in the ball gives the triple (g, h, k^-1) with
@@ -17,8 +18,8 @@ the clause index is one flat list per literal holding the other two codes
 of each clause that contains it, so a new assignment reads only the
 clauses of the literal it makes false.  The search is one loop over a
 stack of open choices, positive branch first, that yields each solution's
-literal values as it finds them, in a canonical order: a caller reads a
-cone's signs off them with one itemgetter, stops early, or only counts.
+literal values as it finds them, in a canonical order: a caller packs a
+cone's pair signs off them with one slice, stops early, or only counts.
 The clause index is built once per ball and shared by every search on it;
 it is dropped with the ball, so the group's ball cache bounds it.  Each
 search keeps only its own value list, trail, stack and node count.
@@ -31,9 +32,9 @@ have a common positive power.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
-from operator import itemgetter
+from struct import Struct, pack, unpack
 
 from .core import (
     BallData,
@@ -68,15 +69,18 @@ def check_ball_size(group: Group, radius: int) -> None:
             f"ball({radius}) of {group.name} has more than {MAX_BALL} elements")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartialCone:
     """A consistent sign assignment on ball(radius) minus the identity:
-    ``signs`` holds one +1 or -1 per element of ``group.ball(radius)[1:]``,
-    in canonical ball order, and the ball's key index names the elements."""
+    ``pairs[v]`` is the sign of the first element of the v-th inverse pair
+    in ball order, a signed byte (read back as 1 or 255), and ``code`` the
+    ball's ``_literals``.  Cones of one group and radius are equal exactly
+    when their signs are."""
 
     group: Group
     radius: int
-    signs: tuple
+    pairs: bytes
+    code: tuple = field(compare=False, repr=False)
 
     def sign(self, g) -> int:
         i = self.group.ball_data(self.radius).index_of(g)
@@ -84,7 +88,14 @@ class PartialCone:
             raise KeyError(f"{self.group.label(g)} is outside the cone's ball")
         if i == 0:
             raise IdentitySignError("the identity has no sign")
-        return self.signs[i - 1]
+        c = self.code[i]
+        return 1 if (self.pairs[c >> 1] == 1) != (c & 1) else -1
+
+    @property
+    def signs(self) -> tuple:
+        """One +1 or -1 per element of ``ball(radius)[1:]``, in ball order."""
+        s = unpack(f"{len(self.pairs)}b", self.pairs)
+        return tuple(-s[c >> 1] if c & 1 else s[c >> 1] for c in self.code[1:])
 
     def elements(self) -> tuple:
         return tuple(self.group.ball(self.radius)[1:])
@@ -92,12 +103,15 @@ class PartialCone:
     def restricted(self, radius: int) -> "PartialCone":
         if radius > self.radius:
             raise ValueError("restriction radius exceeds the cone's radius")
-        return PartialCone(self.group, radius,
-                           tuple(self.sign(g) for g in self.group.ball(radius)[1:]))
+        return PartialCone.from_oracle(self, self.group, radius)
 
     @classmethod
     def from_oracle(cls, oracle: SignOracle, group: Group, radius: int) -> "PartialCone":
-        return cls(group, radius, tuple(oracle.sign(g) for g in group.ball(radius)[1:]))
+        """The cone of oracle.sign, read at the first element of each pair."""
+        data = group.ball_data(radius)
+        code = _literals(data.inverse_index())
+        firsts = [oracle.sign(g) for g, c in zip(data.elements, code) if not c & 1]
+        return cls(group, radius, pack(f"{len(firsts)}b", *firsts), code)
 
     def serialize(self) -> str:
         return "\n".join(
@@ -105,16 +119,25 @@ class PartialCone:
             for g, s in zip(self.elements(), self.signs))
 
 
-def _code(x: int) -> int:
-    """The code of signed 1-based literal x: 2v for v+1, 2v + 1 for -(v+1)."""
-    return 2 * x - 2 if x > 0 else -2 * x - 1
+def _literals(inv) -> tuple:
+    """The code of "element i is positive" for each i of a ball with inverse
+    index inv: the v-th inverse pair in ball order has codes 2v for its first
+    element and 2v + 1 for the other, so code ^ 1 negates; the identity, -1."""
+    code = [-1] * len(inv)
+    nvars = 0
+    for i in range(1, len(inv)):
+        if code[i] < 0:
+            code[i] = 2 * nvars
+            code[inv[i]] = 2 * nvars + 1
+            nvars += 1
+    return tuple(code)
 
 
-def _build_clauses(table, lit) -> list:
-    """Watch lists over literal codes: literal v+1 ("variable v is +1")
-    has code 2v and its negation 2v + 1, so code ^ 1 negates, and code
-    2 * nvars is always false.  watch[c] holds, two codes per clause, the
-    other literals of every clause that contains c.
+def _build_clauses(table, code) -> list:
+    """Watch lists over the literal codes of ``_literals``, code[i] saying
+    "element i is positive"; code 2 * nvars is always false.  watch[c]
+    holds, two codes per clause, the other literals of every clause that
+    contains c.
 
     Positives g, h with gh = k in the ball force k positive, so the triple
     (g, h, m = k^-1), with g h m = 1, gives the clause "g, h and m are not
@@ -127,13 +150,12 @@ def _build_clauses(table, lit) -> list:
     which is not indexed, or two of them mutually inverse, which makes the
     third the identity.
     """
-    n = len(lit)
-    nvars = max(lit, default=0)
-    false = 2 * nvars
-    where = {x: i for i, x in enumerate(lit)}
-    inv = [where[-x] for x in lit]
-    # neg[i]: the code of "element i is not positive"
-    neg = [_code(-x) for x in lit]
+    n = len(code)
+    false = 2 * ((max(code) >> 1) + 1)
+    # neg[i]: the code of "element i is not positive", that is of inv[i]
+    neg = [c ^ 1 for c in code]
+    where = {c: i for i, c in enumerate(code)}
+    inv = [where.get(c, 0) for c in neg]
     watch = [[] for _ in range(false)]
     for i in range(1, n):
         row = table[i]
@@ -167,26 +189,14 @@ class _ClauseIndex:
 
     def __init__(self, data: BallData):
         inv = data.inverse_index()
-        n = len(data.elements)
-        self.impossible = any(inv[i] == i for i in range(1, n))
-        # lit[i]: signed 1-based variable literal meaning "element i is positive"
-        lit = [0] * n
-        nvars = 0
-        for i in range(1, n):
-            if not lit[i]:
-                nvars += 1
-                lit[i] = nvars
-                lit[inv[i]] = -nvars
-        self.nvars = nvars
+        self.impossible = any(inv[i] == i for i in range(1, len(inv)))
         # code[i]: the literal code of "element i is positive"
-        self.code = tuple(map(_code, lit))
-        codes = self.code[1:]
-        # one cone's signs, read off a solution's literal values; itemgetter
-        # returns a tuple only for two or more codes, and ball(0) has none
-        self.signs = (itemgetter(*codes) if len(codes) > 1
-                      else lambda val: tuple(val[c] for c in codes))
+        self.code = _literals(inv)
+        self.nvars = (max(self.code) >> 1) + 1
+        # one cone's pair signs, packed from a solution's literal values
+        self.pack = Struct(f"{self.nvars}b").pack
         # an element that is its own inverse leaves no cone to search for
-        self.watch = [] if self.impossible else _build_clauses(data.product_table(), lit)
+        self.watch = [] if self.impossible else _build_clauses(data.product_table(), self.code)
 
 
 # one clause index per ball, dropped with the ball, so the group's ball
@@ -215,7 +225,7 @@ class _ConeSearch:
         index = _clause_index(group, radius)
         self.impossible = index.impossible
         self.nvars, self.code = index.nvars, index.code
-        self.watch, self.signs = index.watch, index.signs
+        self.watch, self.pack = index.watch, index.pack
         self.limit = DEFAULT_NODE_LIMIT
         self.nodes = 0
         self.val = [0] * (2 * self.nvars) + [-1]
@@ -279,6 +289,12 @@ class _ConeSearch:
                     val[t] = val[t ^ 1] = 0
             v = (c >> 1) + 1
 
+    def cones(self, group: Group, radius: int, preset, max_results) -> list:
+        """The cones of the first max_results (all if None) solutions."""
+        pack, code, end = self.pack, self.code, 2 * self.nvars
+        return [PartialCone(group, radius, pack(*val[0:end:2]), code)
+                for val in islice(self.solutions(preset), max_results)]
+
 
 def _check_max_results(max_results) -> None:
     if max_results is not None and max_results < 1:
@@ -290,9 +306,7 @@ def enumerate_partial_cones(group: Group, radius: int,
     """All partial cones on ball(radius), in canonical order; max_results
     stops the search once that many exist, keeping the first ones."""
     _check_max_results(max_results)
-    search = _ConeSearch(group, radius)
-    return [PartialCone(group, radius, search.signs(val))
-            for val in islice(search.solutions(()), max_results)]
+    return _ConeSearch(group, radius).cones(group, radius, (), max_results)
 
 
 def count_partial_cones(group: Group, radius: int) -> int:
@@ -305,6 +319,8 @@ def extend_partial_cone(cone: PartialCone, group: Group, radius2: int,
     """All completions of the cone to ball(radius2); an empty list
     certifies that no ordering-restriction through radius2 agrees with it.
     max_results stops the search early once enough completions exist."""
+    if cone.group.name != group.name:
+        raise ValueError(f"a cone on {cone.group.name} does not extend in {group.name}")
     if radius2 <= cone.radius:
         raise ValueError("extension radius must exceed the cone's radius")
     _check_max_results(max_results)
@@ -318,8 +334,7 @@ def extend_partial_cone(cone: PartialCone, group: Group, radius2: int,
                 f"cone element {group.label(g)} is missing from ball({radius2})")
         code = search.code[idx]
         preset.append(code if s > 0 else code ^ 1)
-    return [PartialCone(group, radius2, search.signs(val))
-            for val in islice(search.solutions(preset), max_results)]
+    return search.cones(group, radius2, preset, max_results)
 
 
 def isolator_member(group: Group, h, g) -> bool:

@@ -265,10 +265,9 @@ def suite_klein_four():
         if not extend_partial_cone(cone, kg, 12, max_results=1):
             continue
         extendable += 1
-        if not any(cone.signs == r.signs for r in restrictions):
+        if cone not in restrictions:
             unmatched += 1
-    present = sum(1 for r in restrictions
-                  if any(c.signs == r.signs for c in cones))
+    present = sum(1 for r in restrictions if r in cones)
     separated = all(
         separating_element(orderings[i], orderings[j], kg, 2) is not None
         for i in range(4) for j in range(i + 1, 4))

@@ -8,8 +8,11 @@ import collections
 import gc
 import itertools
 import random
+import tracemalloc
+import types
 import weakref
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 
@@ -17,7 +20,7 @@ import ordlib.lospace as lospace
 from ordlib.braid import braid_group, dehornoy_oracle
 from ordlib.core import BALL_CACHE_RADII, IdentitySignError, SizeLimitError
 from ordlib.extensions import KleinAut, KleinGroup, klein_group, klein_orderings
-from ordlib.lattice import lattice_group, mat_from_rows, row_times_mat
+from ordlib.lattice import LatticeGroup, lattice_group, mat_from_rows, row_times_mat
 from ordlib.lospace import (
     PartialCone,
     condition_star_check,
@@ -255,10 +258,11 @@ def test_first_cones_stop_the_search(work, head_nodes):
     them spends the nodes up to the third solution and no more."""
     group, radius, _, _ = work
     search = lospace._ConeSearch(group, radius)
-    head = [search.signs(val) for val in itertools.islice(search.solutions(()), 3)]
+    end = 2 * search.nvars
+    head = [search.pack(*val[0:end:2]) for val in itertools.islice(search.solutions(()), 3)]
     assert search.nodes == head_nodes
     full = enumerate_partial_cones(group, radius)
-    assert head == [c.signs for c in full[:3]]
+    assert head == [c.pairs for c in full[:3]]
     assert enumerate_partial_cones(group, radius, max_results=3) == full[:3]
 
 
@@ -268,6 +272,55 @@ def test_radius_zero_has_one_empty_cone(group):
     assert [c.signs for c in cones] == [()]
     extended = extend_partial_cone(cones[0], group, 1)
     assert [c.signs for c in extended] == [c.signs for c in enumerate_partial_cones(group, 1)]
+
+
+@pytest.mark.parametrize("group,radius,nodes,count", SOLVER_WORK, ids=WORK_IDS)
+def test_pair_signs_are_the_element_signs(group, radius, nodes, count):
+    """Each cone's per-pair bytes give the signs that one itemgetter over
+    the solver's element codes reads off the same solution, element by
+    element, and packing those signs again gives an equal cone."""
+    cones = enumerate_partial_cones(group, radius, max_results=500)
+    search = lospace._ConeSearch(group, radius)
+    read = itemgetter(*search.code[1:])
+    elements = group.ball(radius)[1:]
+    for cone, val in zip(cones, search.solutions(())):
+        assert cone.signs == read(val)
+        assert [cone.sign(g) for g in elements] == list(cone.signs)
+        oracle = types.SimpleNamespace(sign=dict(zip(elements, cone.signs)).__getitem__)
+        assert PartialCone.from_oracle(oracle, group, radius) == cone
+    assert len(cones) == min(count, 500)
+    assert len({c.pairs for c in cones}) == len(set(cones)) == len(cones)
+
+
+@pytest.mark.parametrize("group", [Z2, F2, KLEIN], ids=["Z2", "F2", "Klein"])
+def test_radius_zero_cone_has_no_pairs(group):
+    cone = enumerate_partial_cones(group, 0)[0]
+    assert cone.pairs == b"" and cone.signs == ()
+    again = PartialCone.from_oracle(cone, group, 0)
+    assert again == cone and hash(again) == hash(cone)
+
+
+def test_enumerated_cones_are_compact():
+    """F2 ball(4)'s 15,768 cones, with the ball, its product table and
+    clause index, peak under 6 MiB: about 0.2 KB a cone."""
+    group = free_group(2)
+    tracemalloc.start()
+    try:
+        cones = enumerate_partial_cones(group, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cones) == 15_768
+    assert peak < 6 * 2**20
+
+
+def test_extension_refuses_a_cone_of_another_group():
+    """Z^2 and Klein both spell elements as integer pairs, so only the
+    group's name tells a Z^2 cone from a Klein one."""
+    cone = enumerate_partial_cones(Z2, 1)[0]
+    with pytest.raises(ValueError, match=r"Z\^2.*Klein"):
+        extend_partial_cone(cone, KleinGroup(), 3)
+    assert len(extend_partial_cone(cone, LatticeGroup(2), 3)) == 4
 
 
 def test_clause_index_leaves_with_its_ball():
