@@ -76,7 +76,6 @@ from .lospace import (
     condition_star_check,
     count_partial_cones,
     enumerate_partial_cones,
-    extend_partial_cone,
 )
 from .magnus import (
     FREE_PROBES,
@@ -459,15 +458,15 @@ def cmd_lospace_enum(args) -> int:
 
 def cmd_lospace_extend(args) -> int:
     group = _lospace_group(args.group)
-    # stop at the cone asked for; a negative or missing index counts them all
-    stop = args.index + 1 if args.index >= 0 else None
-    cones = enumerate_partial_cones(group, args.radius, max_results=stop)
-    if not 0 <= args.index < len(cones):
-        raise UsageError(
-            f"index {args.index} out of range for {len(cones)} cones")
-    found = extend_partial_cone(cones[args.index], group, args.radius2,
+    # build only the cone asked for; a negative or missing index counts them all
+    cones = (enumerate_partial_cones(group, args.radius, max_results=1, start=args.index)
+             if args.index >= 0 else [])
+    if not cones:
+        raise UsageError(f"index {args.index} out of range for "
+                         f"{count_partial_cones(group, args.radius)} cones")
+    count = count_partial_cones(group, args.radius2, base=cones[0],
                                 max_results=args.max_results)
-    print(f"completions: {len(found)}")
+    print(f"completions: {count}")
     return 0
 
 

@@ -71,16 +71,19 @@ class BallData:
     its index, so any representative of a ball element is found in one
     lookup.  Element 0 must be the identity, and no other element may be.
 
-    The product table walks the ball's spanning tree.  On a word-metric
-    ball every element j > 0 is elements[p]*a for an earlier element p and
-    a generator letter a, so g*elements[j] is one letter step from the cell
-    g*elements[p] that its row already holds.  A step from a cell inside
-    the ball is a lookup in the step table, which lists elements[k]*a for
-    every k and letter a once per ball; a step from a cell outside it acts
-    with ``key_times`` on that cell's key, which the row keeps.  Elements
-    with no parent in the ball, and every element of a group that lists no
-    ``generators``, take ``key_times`` of the row's key and the whole
-    element.
+    The product table is built a row at a time.  A cell is a product g*h,
+    known by the key of its inverse h^-1 g^-1: cell k < n is elements[k],
+    and a product outside the ball is numbered when a row first meets it.
+    On a word-metric ball every element i > 0 is a^-1 * elements[p] for an
+    earlier element p and a generator letter a, so row i is row p gathered
+    through the step list of a, which maps each cell to the cell a^-1
+    times it.  A step entry is filled when a row first needs it, so each
+    product outside the ball is stepped at most once per letter.  Once no
+    later row gathers from the rows still to be built, a product outside
+    the ball is written as -1 and not numbered, and a last pass writes -1
+    over every numbered one.  Elements with no such parent, and every
+    element of a group that lists no ``generators``, take one
+    ``key_times`` per cell.
 
     The ball refers to its group weakly: the group's ball cache holds the
     ball, so a strong reference back would make a cycle, and a dropped
@@ -129,52 +132,64 @@ class BallData:
         """table[i][j] = index of elements[i]*elements[j] in the ball, or -1."""
         if self._products is None:
             grp = self.group
-            elems, keys, pos, key_times = self.elements, self.keys, self.pos, grp.key_times
-            n = len(elems)
+            keys, key_times = self.keys, grp.key_times
+            n = len(keys)
+            inv = self.inverse_index()
             letters = [x for g in grp.generators for x in (g, grp.invert(g))]
-            # step[k][a]: index of elements[k]*letters[a], or -1; its key is
-            # stepped[k][a]
-            stepped = [[key_times(key_k, a) for a in letters] for key_k in keys]
-            step = [[pos.get(key, -1) for key in row] for row in stepped]
-            # the spanning tree: j's parent is the first k < j with a letter
-            # taking elements[k] to elements[j]
+            # a cell is a product, known by the key of its inverse: cell k < n
+            # is elements[k], and later cells are products outside the ball
+            ikeys = list(map(keys.__getitem__, inv))
+            cell = dict(zip(keys, inv))
+            # no row after row `last` is gathered from; until the left tree
+            # is known, every product is numbered
+            last = n
+
+            def cell_of(key, i):
+                # the cell that row i meets, or -1 outside the ball past `last`
+                c = cell.get(key)
+                if c is None:
+                    if i > last:
+                        return -1
+                    c = cell[key] = len(ikeys)
+                    ikeys.append(key)
+                return c
+
+            # steps[a][c]: the cell of letters[a]^-1 * (cell c), as
+            # key((a^-1 x)^-1) = key(x^-1 a); filled over the ball, and past
+            # it -2 until a row needs it
+            steps = [[cell_of(key_times(k, a), 0) for k in ikeys[:n]] for a in letters]
+            # the left tree: row i gathers over row p < i when elements[i] is
+            # letters[a]^-1 * elements[p]
             parent = [None] * n
-            for k, srow in enumerate(step):
-                for a, j in enumerate(srow):
-                    if j > k and parent[j] is None:
-                        parent[j] = (k, a)
-            roots = [j for j in range(1, n) if parent[j] is None]
-            tree = [(j, *pa) for j, pa in enumerate(parent) if pa is not None]
-            # key of each row's cell that fell outside the ball; a column is
-            # read only after this row has written it
-            row_keys = [None] * n
-            table = []
-            for i, kg in enumerate(keys):
-                row = [-1] * n
-                row[0] = i
-                for j in roots:
-                    key = key_times(kg, elems[j])
-                    c = pos.get(key, -1)
-                    if c >= 0:
-                        row[j] = c
-                    else:
-                        row_keys[j] = key
-                for j, p, a in tree:
-                    m = row[p]
-                    if m >= 0:
-                        c = step[m][a]
-                        if c >= 0:
-                            row[j] = c
-                        else:
-                            row_keys[j] = stepped[m][a]
-                    else:
-                        key = key_times(row_keys[p], letters[a])
-                        c = pos.get(key, -1)
-                        if c >= 0:
-                            row[j] = c
-                        else:
-                            row_keys[j] = key
+            for k in range(n):
+                for a, step in enumerate(steps):
+                    i = step[k]
+                    if k < i < n and parent[i] is None:
+                        parent[i] = (k, a)
+            last = max((pa[0] for pa in parent if pa), default=0)
+            table = [list(range(n))]
+            for i in range(1, n):
+                if parent[i] is None:
+                    # (elements[i]*h)^-1 = h^-1 * elements[i]^-1
+                    g_inv = self.elements[inv[i]]
+                    row = [cell_of(key_times(k, g_inv), i) for k in ikeys[:n]]
+                else:
+                    p, a = parent[i]
+                    step, src = steps[a], table[p]
+                    step += [-2] * (len(ikeys) - len(step))
+                    row = list(map(step.__getitem__, src))
+                    j = -1
+                    # the cells of a row are distinct, so each -2 is one step
+                    for _ in range(row.count(-2)):
+                        j = row.index(-2, j + 1)
+                        c = src[j]
+                        row[j] = step[c] = cell_of(key_times(ikeys[c], letters[a]), i)
                 table.append(row)
+            # every numbered product outside the ball, and -1 itself, to -1
+            clip = [*range(n), *[-1] * (len(ikeys) - n + 1)].__getitem__
+            for i, row in enumerate(table):
+                # the copy drops the spare capacity that list(map(...)) keeps
+                table[i] = list(map(clip, row)).copy()
             self._products = table
         return self._products
 

@@ -289,11 +289,13 @@ class _ConeSearch:
                     val[t] = val[t ^ 1] = 0
             v = (c >> 1) + 1
 
-    def cones(self, group: Group, radius: int, preset, max_results) -> list:
-        """The cones of the first max_results (all if None) solutions."""
+    def cones(self, group: Group, radius: int, preset, max_results, start=0) -> list:
+        """The cones of the first max_results (all if None) solutions after
+        the first start, which are skipped without building a cone."""
         pack, code, end = self.pack, self.code, 2 * self.nvars
+        stop = None if max_results is None else start + max_results
         return [PartialCone(group, radius, pack(*val[0:end:2]), code)
-                for val in islice(self.solutions(preset), max_results)]
+                for val in islice(self.solutions(preset), start, stop)]
 
 
 def _check_max_results(max_results) -> None:
@@ -302,23 +304,29 @@ def _check_max_results(max_results) -> None:
 
 
 def enumerate_partial_cones(group: Group, radius: int,
-                            max_results: int | None = None) -> list:
+                            max_results: int | None = None, start: int = 0) -> list:
     """All partial cones on ball(radius), in canonical order; max_results
-    stops the search once that many exist, keeping the first ones."""
+    stops the search once that many exist, keeping the first ones.  The
+    first start cones are skipped, and none of them is built."""
     _check_max_results(max_results)
-    return _ConeSearch(group, radius).cones(group, radius, (), max_results)
+    return _ConeSearch(group, radius).cones(group, radius, (), max_results, start)
 
 
-def count_partial_cones(group: Group, radius: int) -> int:
-    """The number of partial cones on ball(radius); none is built."""
-    return sum(1 for _ in _ConeSearch(group, radius).solutions(()))
+def count_partial_cones(group: Group, radius: int, base: PartialCone | None = None,
+                        max_results: int | None = None) -> int:
+    """The number of partial cones on ball(radius), or of completions of the
+    base cone to it, up to max_results (all if None); none is built."""
+    if base is None:
+        _check_max_results(max_results)
+        search, preset = _ConeSearch(group, radius), ()
+    else:
+        search, preset = _completion_search(base, group, radius, max_results)
+    return sum(1 for _ in islice(search.solutions(preset), max_results))
 
 
-def extend_partial_cone(cone: PartialCone, group: Group, radius2: int,
-                        max_results: int | None = None) -> list:
-    """All completions of the cone to ball(radius2); an empty list
-    certifies that no ordering-restriction through radius2 agrees with it.
-    max_results stops the search early once enough completions exist."""
+def _completion_search(cone: PartialCone, group: Group, radius2: int, max_results) -> tuple:
+    """The search on ball(radius2) and the codes that preset the cone's
+    signs in it, after checking the arguments of a completion."""
     if cone.group.name != group.name:
         raise ValueError(f"a cone on {cone.group.name} does not extend in {group.name}")
     if radius2 <= cone.radius:
@@ -334,6 +342,15 @@ def extend_partial_cone(cone: PartialCone, group: Group, radius2: int,
                 f"cone element {group.label(g)} is missing from ball({radius2})")
         code = search.code[idx]
         preset.append(code if s > 0 else code ^ 1)
+    return search, preset
+
+
+def extend_partial_cone(cone: PartialCone, group: Group, radius2: int,
+                        max_results: int | None = None) -> list:
+    """All completions of the cone to ball(radius2); an empty list
+    certifies that no ordering-restriction through radius2 agrees with it.
+    max_results stops the search early once enough completions exist."""
+    search, preset = _completion_search(cone, group, radius2, max_results)
     return search.cones(group, radius2, preset, max_results)
 
 

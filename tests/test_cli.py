@@ -12,7 +12,8 @@ import pytest
 import ordlib.cli as cli
 from ordlib.cli import main
 from ordlib.lattice import lattice_group
-from ordlib.lospace import enumerate_partial_cones, extend_partial_cone
+import ordlib.lospace as lospace
+from ordlib.lospace import PartialCone, enumerate_partial_cones, extend_partial_cone
 
 
 def run(capsys, *argv):
@@ -251,29 +252,46 @@ def test_lospace_count_stores_no_cones(capsys):
 
 
 def test_lospace_extend_stops_at_the_index(capsys, monkeypatch):
-    """extend enumerates only up to the cone it extends; a missed index
-    still reports the full count, whether it is too large or negative."""
+    """extend builds only the cone it extends, and counts its completions
+    without building them; a missed index, too large or negative, still
+    reports the full count and builds no cone."""
     cones = enumerate_partial_cones(lattice_group(2), 2)
     assert len(cones) == 8
-    listed = []
+    wants = [len(extend_partial_cone(cone, lattice_group(2), 3)) for cone in cones]
+    built = []
 
-    def counted(*args, **kwargs):
-        out = enumerate_partial_cones(*args, **kwargs)
-        listed.append(len(out))
-        return out
+    def counted(*args):
+        built.append(PartialCone(*args))
+        return built[-1]
 
-    monkeypatch.setattr(cli, "enumerate_partial_cones", counted)
+    monkeypatch.setattr(lospace, "PartialCone", counted)
     for index in (0, 2, 7):
         rc, out = run(capsys, "lospace", "extend", "--group", "z2", "--radius", "2",
                       "--radius2", "3", "--index", str(index))
-        want = len(extend_partial_cone(cones[index], lattice_group(2), 3))
-        assert (rc, out) == (0, [f"completions: {want}"])
-        assert listed.pop() == index + 1
+        assert (rc, out) == (0, [f"completions: {wants[index]}"])
+        assert built == [cones[index]]
+        built.clear()
     for index in (8, 40, -1):
         rc, out = run(capsys, "lospace", "extend", "--group", "z2", "--radius", "2",
                       "--radius2", "3", "--index", str(index))
         assert (rc, out) == (2, [f"usage error: index {index} out of range for 8 cones"])
-        assert listed.pop() == 8
+        assert built == []
+
+
+def test_lospace_extend_count_stores_no_cones(capsys):
+    """The completions are counted from the solver's stream: the 7,362
+    completions of a Z^3 ball(1) cone to ball(8) are counted within a
+    10 MB allocation peak, most of it the ball's product table and clause
+    index, with no cone kept."""
+    tracemalloc.start()
+    try:
+        rc, out = run(capsys, "lospace", "extend", "--group", "z3", "--radius", "1",
+                      "--radius2", "8")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rc, out) == (0, ["completions: 7362"])
+    assert peak < 10 << 20
 
 
 def test_lospace_star(capsys):

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import tracemalloc
 import weakref
 
 import pytest
@@ -238,6 +239,7 @@ TABLE_CASES = [
     (klein_group(), 8), (Z2, 3), (Z2, 5), (lattice_group(3), 3), (free_group(2), 3),
     (braid_group(3), 4), (braid_group(4), 3), (Z2, 0), (braid_group(3), 0),
     (rational_plane(), 2), (k_group(), 2), (g_group(), 2),
+    (klein_group(), 12), (free_group(2), 4), (lattice_group(3), 4),
 ]
 
 
@@ -252,11 +254,12 @@ def test_product_table_matches_spelt_products(group, radius):
         [pos.get(group.key(group.multiply(g, h)), -1) for h in elems] for g in elems]
 
 
-# key_times calls of one product_table(): the step table, one per element
-# and letter, plus one per cell whose tree parent fell outside the ball
+# key_times calls of one product_table(): one per element and letter to
+# step the ball, plus one per product outside the ball and letter that a
+# row gathers through
 TABLE_WORK = [
-    (BraidGroup(3), 5, 47_806), (BraidGroup(4), 3, 11_644), (KleinGroup(), 16, 124_244),
-    (LatticeGroup(3), 4, 8_566), (FreeGroup(2), 4, 20_084),
+    (BraidGroup(3), 5, 14_681), (BraidGroup(4), 3, 7_242), (KleinGroup(), 16, 5_600),
+    (LatticeGroup(3), 4, 2_528), (FreeGroup(2), 4, 13_280),
 ]
 
 
@@ -264,8 +267,9 @@ TABLE_WORK = [
                          ids=[f"{g.name}-{r}" for g, r, _ in TABLE_WORK])
 def test_product_table_work_is_pinned(group, radius, calls):
     """Counted, not timed, on a group of its own: one table calls key_times
-    exactly this often.  Computing every cell from its row's key would take
-    len(ball)^2 calls."""
+    exactly this often.  Each product outside the ball is stepped once per
+    letter, not once per row that meets it.  Computing every cell from its
+    row's key would take len(ball)^2 calls."""
     data = group.ball_data(radius)
     count = [0]
     key_times = group.key_times
@@ -277,6 +281,22 @@ def test_product_table_work_is_pinned(group, radius, calls):
     group.key_times = counted
     data.product_table()
     assert count[0] == calls < len(data.elements) ** 2
+
+
+@pytest.mark.parametrize("group,radius", [(FreeGroup(2), 4), (BraidGroup(3), 5)],
+                         ids=["F2-4", "B3-5"])
+def test_product_table_memory_is_bounded(group, radius):
+    """The products outside the ball that rows gather through are interned
+    only while a later row gathers from the row that meets them, and are
+    dropped with the build: one table peaks under 2.5 MiB."""
+    data = group.ball_data(radius)
+    tracemalloc.start()
+    try:
+        data.product_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20
 
 
 def test_sign_at_identity_raises():

@@ -60,6 +60,19 @@ def test_key_times_cancels_at_the_junction(rank, radius):
     assert group.key_times((1, 2, -1), (1, -2, -1, 2)) == (2,)
 
 
+@pytest.mark.parametrize("rank", [2, 3])
+def test_key_times_one_letter_matches_multiply(rank):
+    """On seeded reduced words and every letter, the one-letter step of
+    key_times cancels or appends exactly as the reduced product does."""
+    group = free_group(rank)
+    rng = random.Random(44 + rank)
+    letters = [a for i in range(1, rank + 1) for a in (i, -i)]
+    for _ in range(2000):
+        w = reduce_word(rng.choice(letters) for _ in range(rng.randrange(16)))
+        for a in letters:
+            assert group.key_times(w, (a,)) == group.multiply(w, (a,)), (w, a)
+
+
 def test_parse_word_forms():
     assert parse_word(F2, "xyX") == (1, 2, -1)
     assert parse_word(F2, "x y^-1 x^2") == (1, -2, 1, 1)
