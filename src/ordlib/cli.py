@@ -76,6 +76,7 @@ from .lospace import (
     condition_star_check,
     count_partial_cones,
     enumerate_partial_cones,
+    partial_cone_at,
 )
 from .magnus import (
     FREE_PROBES,
@@ -459,12 +460,11 @@ def cmd_lospace_enum(args) -> int:
 def cmd_lospace_extend(args) -> int:
     group = _lospace_group(args.group)
     # build only the cone asked for; a negative or missing index counts them all
-    cones = (enumerate_partial_cones(group, args.radius, max_results=1, start=args.index)
-             if args.index >= 0 else [])
-    if not cones:
-        raise UsageError(f"index {args.index} out of range for "
-                         f"{count_partial_cones(group, args.radius)} cones")
-    count = count_partial_cones(group, args.radius2, base=cones[0],
+    try:
+        cone = partial_cone_at(group, args.radius, args.index)
+    except IndexError as exc:
+        raise UsageError(str(exc)) from None
+    count = count_partial_cones(group, args.radius2, base=cone,
                                 max_results=args.max_results)
     print(f"completions: {count}")
     return 0

@@ -51,6 +51,7 @@ __all__ = [
     "enumerate_partial_cones",
     "extend_partial_cone",
     "isolator_member",
+    "partial_cone_at",
     "condition_star_check",
 ]
 
@@ -289,13 +290,11 @@ class _ConeSearch:
                     val[t] = val[t ^ 1] = 0
             v = (c >> 1) + 1
 
-    def cones(self, group: Group, radius: int, preset, max_results, start=0) -> list:
-        """The cones of the first max_results (all if None) solutions after
-        the first start, which are skipped without building a cone."""
+    def cones(self, group: Group, radius: int, preset, max_results) -> list:
+        """The cones of the first max_results (all if None) solutions."""
         pack, code, end = self.pack, self.code, 2 * self.nvars
-        stop = None if max_results is None else start + max_results
         return [PartialCone(group, radius, pack(*val[0:end:2]), code)
-                for val in islice(self.solutions(preset), start, stop)]
+                for val in islice(self.solutions(preset), max_results)]
 
 
 def _check_max_results(max_results) -> None:
@@ -304,23 +303,32 @@ def _check_max_results(max_results) -> None:
 
 
 def enumerate_partial_cones(group: Group, radius: int,
-                            max_results: int | None = None, start: int = 0) -> list:
+                            max_results: int | None = None) -> list:
     """All partial cones on ball(radius), in canonical order; max_results
-    stops the search once that many exist, keeping the first ones.  The
-    first start cones are skipped, and none of them is built."""
+    stops the search once that many exist, keeping the first ones."""
     _check_max_results(max_results)
-    return _ConeSearch(group, radius).cones(group, radius, (), max_results, start)
+    return _ConeSearch(group, radius).cones(group, radius, (), max_results)
+
+
+def partial_cone_at(group: Group, radius: int, index: int) -> PartialCone:
+    """The cone at index in canonical order, the only one built; a missed
+    or negative index raises IndexError with the count of one pass."""
+    search = _ConeSearch(group, radius)
+    solutions = search.solutions(())
+    seen = sum(1 for _ in islice(solutions, index if index >= 0 else None))
+    val = next(solutions, None)
+    if val is None:
+        raise IndexError(f"index {index} out of range for {seen} cones")
+    return PartialCone(group, radius, search.pack(*val[0:2 * search.nvars:2]), search.code)
 
 
 def count_partial_cones(group: Group, radius: int, base: PartialCone | None = None,
                         max_results: int | None = None) -> int:
-    """The number of partial cones on ball(radius), or of completions of the
-    base cone to it, up to max_results (all if None); none is built."""
+    """The number of partial cones on ball(radius), or of up to max_results
+    (all if None) completions of the base cone to it; none is built."""
     if base is None:
-        _check_max_results(max_results)
-        search, preset = _ConeSearch(group, radius), ()
-    else:
-        search, preset = _completion_search(base, group, radius, max_results)
+        return sum(1 for _ in _ConeSearch(group, radius).solutions(()))
+    search, preset = _completion_search(base, group, radius, max_results)
     return sum(1 for _ in islice(search.solutions(preset), max_results))
 
 

@@ -79,10 +79,7 @@ class WordGroup(Group):
 
     def key_times(self, key_g, h):
         """key(g*h): both words are reduced, so only letters at the
-        junction cancel, and neither word is walked past them.  A
-        one-letter h, each step of a product table, cancels or appends."""
-        if len(h) == 1:
-            return key_g[:-1] if key_g and key_g[-1] == -h[0] else key_g + h
+        junction cancel, and neither word is walked past them."""
         i, m = 0, min(len(key_g), len(h))
         while i < m and key_g[-1 - i] == -h[i]:
             i += 1

@@ -254,28 +254,37 @@ def test_lospace_count_stores_no_cones(capsys):
 def test_lospace_extend_stops_at_the_index(capsys, monkeypatch):
     """extend builds only the cone it extends, and counts its completions
     without building them; a missed index, too large or negative, still
-    reports the full count and builds no cone."""
+    reports the full count, builds no cone and streams the first ball once."""
     cones = enumerate_partial_cones(lattice_group(2), 2)
     assert len(cones) == 8
     wants = [len(extend_partial_cone(cone, lattice_group(2), 3)) for cone in cones]
-    built = []
+    built, streams = [], []
+    solutions = lospace._ConeSearch.solutions
 
     def counted(*args):
         built.append(PartialCone(*args))
         return built[-1]
 
+    def streamed(search, preset):
+        streams.append(search.nvars)
+        return solutions(search, preset)
+
     monkeypatch.setattr(lospace, "PartialCone", counted)
+    monkeypatch.setattr(lospace._ConeSearch, "solutions", streamed)
+    nvars = [len(lattice_group(2).ball(r)) // 2 for r in (2, 3)]
     for index in (0, 2, 7):
         rc, out = run(capsys, "lospace", "extend", "--group", "z2", "--radius", "2",
                       "--radius2", "3", "--index", str(index))
         assert (rc, out) == (0, [f"completions: {wants[index]}"])
-        assert built == [cones[index]]
+        assert (built, streams) == ([cones[index]], nvars)
         built.clear()
+        streams.clear()
     for index in (8, 40, -1):
         rc, out = run(capsys, "lospace", "extend", "--group", "z2", "--radius", "2",
                       "--radius2", "3", "--index", str(index))
         assert (rc, out) == (2, [f"usage error: index {index} out of range for 8 cones"])
-        assert built == []
+        assert (built, streams) == ([], nvars[:1])
+        streams.clear()
 
 
 def test_lospace_extend_count_stores_no_cones(capsys):

@@ -139,6 +139,24 @@ def test_extension_needs_a_positive_result_cap(max_results):
     assert len(extend_partial_cone(cone, Z2, 2, max_results=1)) == 1
 
 
+def test_cone_at_index_and_completion_counts():
+    """partial_cone_at builds the cone that enumeration lists at that index,
+    and a missed index names the full count; count_partial_cones with a
+    base counts the completions that extend_partial_cone builds."""
+    cones = enumerate_partial_cones(F2, 2)
+    for i, cone in enumerate(cones):
+        assert lospace.partial_cone_at(F2, 2, i) == cone
+        found = extend_partial_cone(cone, F2, 3)
+        assert count_partial_cones(F2, 3, base=cone) == len(found)
+        for k in (1, 2, len(found) + 1):
+            assert count_partial_cones(F2, 3, base=cone, max_results=k) == min(k, len(found))
+    for index in (len(cones), len(cones) + 9, -1):
+        with pytest.raises(IndexError, match=f"index {index} out of range for {len(cones)} cones"):
+            lospace.partial_cone_at(F2, 2, index)
+    with pytest.raises(ValueError, match="max_results must be at least 1"):
+        count_partial_cones(F2, 3, base=cones[0], max_results=0)
+
+
 def test_node_limit_and_ball_cap(monkeypatch):
     monkeypatch.setattr(lospace, "DEFAULT_NODE_LIMIT", 3)
     with pytest.raises(SizeLimitError):

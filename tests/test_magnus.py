@@ -62,8 +62,8 @@ def test_key_times_cancels_at_the_junction(rank, radius):
 
 @pytest.mark.parametrize("rank", [2, 3])
 def test_key_times_one_letter_matches_multiply(rank):
-    """On seeded reduced words and every letter, the one-letter step of
-    key_times cancels or appends exactly as the reduced product does."""
+    """On seeded reduced words and every letter, key_times takes the
+    one-letter step of a product table exactly as the reduced product does."""
     group = free_group(rank)
     rng = random.Random(44 + rank)
     letters = [a for i in range(1, rank + 1) for a in (i, -i)]
