@@ -27,6 +27,7 @@ import weakref
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
 LT, EQ, GT = -1, 0, 1
@@ -65,30 +66,30 @@ class RefusedConstructionError(ValueError):
 
 
 class BallData:
-    """A ball with its membership index and a lazily built product table.
+    """A ball with its membership index, and its product table as rows.
 
     ``keys[i]`` is the key of ``elements[i]``, and ``pos`` maps each key to
     its index, so any representative of a ball element is found in one
     lookup.  Element 0 must be the identity, and no other element may be.
 
-    The product table is built a row at a time.  A cell is a product g*h,
-    known by the key of its inverse h^-1 g^-1: cell k < n is elements[k],
-    and a product outside the ball is numbered when a row first meets it.
-    On a word-metric ball every element i > 0 is a^-1 * elements[p] for an
-    earlier element p and a generator letter a, so row i is row p gathered
-    through the step list of a, which maps each cell to the cell a^-1
-    times it.  A step entry is filled when a row first needs it, so each
-    product outside the ball is stepped at most once per letter.  Once no
-    later row gathers from the rows still to be built, a product outside
-    the ball is written as -1 and not numbered, and a last pass writes -1
-    over every numbered one.  Elements with no such parent, and every
-    element of a group that lists no ``generators``, take one
-    ``key_times`` per cell.
+    The product table is never kept: ``product_rows`` yields it a row at a
+    time.  A cell is a product g*h, known by the key of its inverse
+    h^-1 g^-1: cell k < n is elements[k], and a product outside the ball
+    is numbered when a row first meets it.  On a word-metric ball every
+    element i > 0 is a^-1 * elements[p] for an earlier element p and a
+    generator letter a, so row i is row p gathered through the step list
+    of a, which maps each cell to the cell a^-1 times it, and row p is
+    dropped once its last such row is built.  A step entry is filled when
+    a row first needs it, so each product outside the ball is stepped at
+    most once per letter.  Once no later row gathers from the rows still
+    to be built, a product outside the ball is not numbered.  Elements
+    with no such parent, and every element of a group that lists no
+    ``generators``, take one ``key_times`` per cell.
 
     The ball refers to its group weakly: the group's ball cache holds the
     ball, so a strong reference back would make a cycle, and a dropped
-    group would keep its balls, their tables and whatever is keyed by them
-    until the cyclic collector ran.
+    group would keep its balls and whatever is keyed by them until the
+    cyclic collector ran.
     """
 
     def __init__(self, group: "Group", radius: int, elements: list):
@@ -102,7 +103,6 @@ class BallData:
                 f"ball({radius}) of {group.name} does not list the identity "
                 "first and only there")
         self._inverse: list[int] | None = None
-        self._products: list[list[int]] | None = None
 
     @property
     def group(self) -> "Group":
@@ -128,70 +128,94 @@ class BallData:
             self._inverse = inv
         return self._inverse
 
+    def product_rows(self, upper: bool):
+        """Yield the rows of the product table in ball order, lists that
+        later rows may still gather from: cell j of row i is the product
+        elements[i]*elements[j], its ball index when it lies in the ball
+        and a cell number >= n otherwise (n for every product not numbered
+        yet, once no later row gathers from the rows still to come).  With
+        ``upper`` row i covers only the columns j >= i, cell j at
+        row[j - i].  A row is held only until the last row that gathers
+        from it is built: on a word-metric ball, a sphere's rows gather
+        from the sphere before."""
+        grp = self.group
+        keys, key_times = self.keys, grp.key_times
+        n = len(keys)
+        inv = self.inverse_index()
+        letters = [x for g in grp.generators for x in (g, grp.invert(g))]
+        # a cell is a product, known by the key of its inverse: cell k < n
+        # is elements[k], and later cells are products outside the ball
+        ikeys = list(map(keys.__getitem__, inv))
+        cell = dict(zip(keys, inv))
+        # no row after row `last` is gathered from; until the left tree
+        # is known, every product is numbered
+        last = n
+
+        def cell_of(key, i):
+            # the cell that row i meets; past `last`, n for any product
+            # outside the ball
+            c = cell.get(key)
+            if c is None:
+                if i > last:
+                    return n
+                c = cell[key] = len(ikeys)
+                ikeys.append(key)
+            return c
+
+        # steps[a][c]: the cell of letters[a]^-1 * (cell c), as
+        # key((a^-1 x)^-1) = key(x^-1 a); filled over the ball, and past
+        # it -2 until a row needs it
+        steps = [[cell_of(key_times(k, a), 0) for k in ikeys[:n]] for a in letters]
+        # the left tree: row i gathers over row p < i when elements[i] is
+        # letters[a]^-1 * elements[p]; last_child[p] is the last such i
+        parent = [None] * n
+        last_child = {}
+        for k in range(n):
+            for a, step in enumerate(steps):
+                i = step[k]
+                if k < i < n and parent[i] is None:
+                    parent[i] = (k, a)
+        for i, pa in enumerate(parent):
+            if pa:
+                last_child[pa[0]] = i
+        last = max(last_child, default=0)
+        # held[p]: row p, while a later row gathers from it
+        held = {}
+        row = list(range(n))
+        if 0 in last_child:
+            held[0] = row
+        yield row
+        for i in range(1, n):
+            if parent[i] is None:
+                # (elements[i]*h)^-1 = h^-1 * elements[i]^-1
+                g_inv = self.elements[inv[i]]
+                row = [cell_of(key_times(k, g_inv), i) for k in ikeys[i if upper else 0:n]]
+            else:
+                p, a = parent[i]
+                step = steps[a]
+                src = held.pop(p) if last_child[p] == i else held[p]
+                if upper:
+                    src = src[i - p:]
+                step += [-2] * (len(ikeys) - len(step))
+                # itemgetter of one item returns it bare
+                row = [*itemgetter(*src)(step)] if len(src) > 1 else [step[src[0]]]
+                j = -1
+                # the cells of a row are distinct, so each -2 is one step
+                for _ in range(row.count(-2)):
+                    j = row.index(-2, j + 1)
+                    c = src[j]
+                    row[j] = step[c] = cell_of(key_times(ikeys[c], letters[a]), i)
+            if i in last_child:
+                held[i] = row
+            yield row
+
     def product_table(self) -> list[list[int]]:
-        """table[i][j] = index of elements[i]*elements[j] in the ball, or -1."""
-        if self._products is None:
-            grp = self.group
-            keys, key_times = self.keys, grp.key_times
-            n = len(keys)
-            inv = self.inverse_index()
-            letters = [x for g in grp.generators for x in (g, grp.invert(g))]
-            # a cell is a product, known by the key of its inverse: cell k < n
-            # is elements[k], and later cells are products outside the ball
-            ikeys = list(map(keys.__getitem__, inv))
-            cell = dict(zip(keys, inv))
-            # no row after row `last` is gathered from; until the left tree
-            # is known, every product is numbered
-            last = n
-
-            def cell_of(key, i):
-                # the cell that row i meets, or -1 outside the ball past `last`
-                c = cell.get(key)
-                if c is None:
-                    if i > last:
-                        return -1
-                    c = cell[key] = len(ikeys)
-                    ikeys.append(key)
-                return c
-
-            # steps[a][c]: the cell of letters[a]^-1 * (cell c), as
-            # key((a^-1 x)^-1) = key(x^-1 a); filled over the ball, and past
-            # it -2 until a row needs it
-            steps = [[cell_of(key_times(k, a), 0) for k in ikeys[:n]] for a in letters]
-            # the left tree: row i gathers over row p < i when elements[i] is
-            # letters[a]^-1 * elements[p]
-            parent = [None] * n
-            for k in range(n):
-                for a, step in enumerate(steps):
-                    i = step[k]
-                    if k < i < n and parent[i] is None:
-                        parent[i] = (k, a)
-            last = max((pa[0] for pa in parent if pa), default=0)
-            table = [list(range(n))]
-            for i in range(1, n):
-                if parent[i] is None:
-                    # (elements[i]*h)^-1 = h^-1 * elements[i]^-1
-                    g_inv = self.elements[inv[i]]
-                    row = [cell_of(key_times(k, g_inv), i) for k in ikeys[:n]]
-                else:
-                    p, a = parent[i]
-                    step, src = steps[a], table[p]
-                    step += [-2] * (len(ikeys) - len(step))
-                    row = list(map(step.__getitem__, src))
-                    j = -1
-                    # the cells of a row are distinct, so each -2 is one step
-                    for _ in range(row.count(-2)):
-                        j = row.index(-2, j + 1)
-                        c = src[j]
-                        row[j] = step[c] = cell_of(key_times(ikeys[c], letters[a]), i)
-                table.append(row)
-            # every numbered product outside the ball, and -1 itself, to -1
-            clip = [*range(n), *[-1] * (len(ikeys) - n + 1)].__getitem__
-            for i, row in enumerate(table):
-                # the copy drops the spare capacity that list(map(...)) keeps
-                table[i] = list(map(clip, row)).copy()
-            self._products = table
-        return self._products
+        """table[i][j] = index of elements[i]*elements[j] in the ball, or -1,
+        built anew on every call from the full-width product rows."""
+        n = len(self.keys)
+        ball = dict(zip(range(n), range(n)))
+        outside = itertools.repeat(-1)
+        return [list(map(ball.get, row, outside)) for row in self.product_rows(False)]
 
 
 class Group(ABC):

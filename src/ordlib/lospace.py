@@ -13,7 +13,9 @@ which pair, and which side of it, each element is.
 Enumeration is a small backtracking solver with one boolean per inverse
 pair.  Each product gh = k in the ball gives the triple (g, h, k^-1) with
 product 1 and the clause "not all three positive"; the clause is built
-once per rotation class of its triple.  Literals are integer codes, and
+once per rotation class of its triple, in one pass over the upper
+triangle of the ball's product rows as they are gathered, so no product
+table is kept.  Literals are integer codes, and
 the clause index is one flat list per literal holding the other two codes
 of each clause that contains it, so a new assignment reads only the
 clauses of the literal it makes false.  The search is one loop over a
@@ -57,8 +59,8 @@ __all__ = [
 
 DEFAULT_NODE_LIMIT = 2_000_000
 MAX_BALL = 5000
-# a cone search first builds the ball's n^2 product table, so its ball is
-# capped at 10^6 cells
+# a cone search first reads the n(n+1)/2 products of the upper triangle of
+# the ball's product table, so its ball is capped at 1000 elements
 MAX_CONE_BALL = 1000
 
 
@@ -134,7 +136,7 @@ def _literals(inv) -> tuple:
     return tuple(code)
 
 
-def _build_clauses(table, code) -> list:
+def _build_clauses(rows, code) -> list:
     """Watch lists over the literal codes of ``_literals``, code[i] saying
     "element i is positive"; code 2 * nvars is always false.  watch[c]
     holds, two codes per clause, the other literals of every clause that
@@ -158,25 +160,25 @@ def _build_clauses(table, code) -> list:
     where = {c: i for i, c in enumerate(code)}
     inv = [where.get(c, 0) for c in neg]
     watch = [[] for _ in range(false)]
-    for i in range(1, n):
-        row = table[i]
+    for i, row in islice(enumerate(rows), 1, None):
         a = neg[i]
-        for j in range(i, n):
-            k = row[j]
-            if k <= 0:
+        watch_a = watch[a]
+        for j, k in enumerate(row, i):
+            if k >= n:
                 continue
             m = inv[k]
             # (i, j, m) must be the least rotation (j >= i holds), and the
             # reversed (i, m, j) must not be a smaller triple of the clause;
-            # with m = i < j that is the rotation (i, i, j)
-            if m < i or (m < j and row[m] == inv[j]):
+            # with m = i < j that is the rotation (i, i, j); k = 0 gives
+            # m = 0 < i
+            if m < i or (m < j and row[m - i] == inv[j]):
                 continue
             b, c = neg[j], neg[m]
             if b == c:
                 c = false
             elif a == b:
                 b, c = c, false
-            watch[a] += (b, c)
+            watch_a += (b, c)
             watch[b] += (a, c)
             if c != false:
                 watch[c] += (a, b)
@@ -197,7 +199,7 @@ class _ClauseIndex:
         # one cone's pair signs, packed from a solution's literal values
         self.pack = Struct(f"{self.nvars}b").pack
         # an element that is its own inverse leaves no cone to search for
-        self.watch = [] if self.impossible else _build_clauses(data.product_table(), self.code)
+        self.watch = [] if self.impossible else _build_clauses(data.product_rows(True), self.code)
 
 
 # one clause index per ball, dropped with the ball, so the group's ball

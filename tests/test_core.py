@@ -1,5 +1,6 @@
 """Cone axioms, comparisons, and witness searches on small balls."""
 
+import collections
 import gc
 import itertools
 import tracemalloc
@@ -146,8 +147,8 @@ def test_ball_cache_keeps_the_most_recently_used_radii():
 
 def test_a_dropped_group_frees_its_balls_at_once():
     """Balls refer to their group weakly, so dropping the group frees its
-    balls and product tables by reference counting alone; a ball kept past
-    its group refuses to answer."""
+    balls by reference counting alone; a ball kept past its group refuses
+    to answer."""
     gc.disable()
     try:
         group = LatticeGroup(2)
@@ -225,12 +226,6 @@ def test_a_group_without_generators_or_a_walk_has_no_ball():
         _NoGenerators().ball(1)
 
 
-def _fresh_table_ball(group, radius) -> BallData:
-    """A new BallData on the group's ball, so its table is built here even
-    when the group's cached ball already holds one."""
-    return BallData(group, radius, group.ball(radius))
-
-
 # Z^2 and Z^3 have cells that return to the ball after their parent cell
 # left it: in Z^2 ball(3), (0,3)*(1,-1) = (1,2) is reached through (1,3).
 # Q^2, K and G list no generators, so every cell of theirs takes the
@@ -248,7 +243,7 @@ TABLE_CASES = [
 def test_product_table_matches_spelt_products(group, radius):
     """Every cell of the walked table is the index of the spelt product's
     key, or -1."""
-    data = _fresh_table_ball(group, radius)
+    data = group.ball_data(radius)
     elems, pos = data.elements, data.pos
     assert data.product_table() == [
         [pos.get(group.key(group.multiply(g, h)), -1) for h in elems] for g in elems]
@@ -297,6 +292,32 @@ def test_product_table_memory_is_bounded(group, radius):
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * 2**20
+
+
+SPHERE_BALLS = [
+    (lattice_group(1), 30), (lattice_group(2), 8), (lattice_group(3), 4), (klein_group(), 8),
+    (free_group(2), 4), (braid_group(3), 4), (braid_group(4), 3),
+]
+
+
+@pytest.mark.parametrize("group,radius", SPHERE_BALLS,
+                         ids=[f"{g.name}-{r}" for g, r in SPHERE_BALLS])
+def test_gathered_rows_hold_one_sphere(group, radius):
+    """On a word-metric ball every row i > 0 is gathered from a parent row
+    one sphere nearer the identity, spheres read off sort_key's length, so
+    while the rows of one sphere are built the generator holds rows of
+    that sphere and the one before, never more than the largest sphere."""
+    data = group.ball_data(radius)
+    sphere = [group.sort_key(g)[0] for g in data.elements]
+    widest = max(collections.Counter(sphere).values())
+    rows = data.product_rows(True)
+    next(rows)
+    parent = rows.gi_frame.f_locals["parent"]
+    assert all(sphere[parent[i][0]] == sphere[i] - 1 for i in range(1, len(sphere)))
+    for i, _ in enumerate(rows, 1):
+        held = rows.gi_frame.f_locals["held"]
+        assert {sphere[p] for p in held} <= {sphere[i] - 1, sphere[i]}
+        assert len(held) <= widest
 
 
 def test_sign_at_identity_raises():

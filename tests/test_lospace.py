@@ -258,6 +258,77 @@ def test_watch_lists_hold_each_product_clause_once(group, radius, nodes, count):
     assert set(entries) == {(x, clause) for clause in brute for x in clause}
 
 
+def _table_clauses(table, code) -> list:
+    """The watch lists as built from the whole clipped product table, each
+    row read over its cells j >= i: the reference that the one pass over
+    the upper product rows must match, list for list and in order."""
+    n = len(code)
+    false = 2 * ((max(code) >> 1) + 1)
+    neg = [c ^ 1 for c in code]
+    where = {c: i for i, c in enumerate(code)}
+    inv = [where.get(c, 0) for c in neg]
+    watch = [[] for _ in range(false)]
+    for i in range(1, n):
+        row = table[i]
+        a = neg[i]
+        for j in range(i, n):
+            k = row[j]
+            if k <= 0:
+                continue
+            m = inv[k]
+            if m < i or (m < j and row[m] == inv[j]):
+                continue
+            b, c = neg[j], neg[m]
+            if b == c:
+                c = false
+            elif a == b:
+                b, c = c, false
+            watch[a] += (b, c)
+            watch[b] += (a, c)
+            if c != false:
+                watch[c] += (a, b)
+    return watch
+
+
+# every SOLVER_WORK ball, the Klein ball(12) that cone completions reach,
+# and the largest ball of each group that `ord lospace` offers, the last
+# five on a group built in the test, so their balls leave with it
+PIN_BALLS = [(lambda g=g: g, r) for g, r, _, _ in SOLVER_WORK] + [
+    (klein_group, 12), (lambda: lattice_group(1), 499), (lambda: lattice_group(2), 21),
+    (lambda: lattice_group(3), 8), (klein_group, 21), (lambda: free_group(2), 5)]
+PIN_IDS = WORK_IDS + ["Klein-12", "Z-499", "Z2-21", "Z3-8", "Klein-21", "F2-5"]
+
+
+@pytest.mark.parametrize("make,radius", PIN_BALLS, ids=PIN_IDS)
+def test_watch_lists_match_the_table_clauses(make, radius):
+    """One pass over the upper product rows gives the watch lists that the
+    whole table gave, each in the same order, so every search visits the
+    same nodes."""
+    group = make()
+    index = lospace._clause_index(group, radius)
+    table = group.ball_data(radius).product_table()
+    assert index.watch == _table_clauses(table, index.code)
+
+
+@pytest.mark.parametrize("make,radius,bound_mib", [
+    (klein_group, 21, 9), (lambda: free_group(2), 5, 10)], ids=["Klein-21", "F2-5"])
+def test_clause_index_build_holds_no_table(make, radius, bound_mib):
+    """One clause-index build on a new group, its ball included, peaks
+    under the bound: the rows of the product table are read as they are
+    gathered, and the ball keeps none of them."""
+    group = make()
+    tracemalloc.start()
+    try:
+        lospace._clause_index(group, radius)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20
+    data = group.ball_data(radius)
+    assert not [name for name, v in vars(data).items()
+                if isinstance(v, list) and v and isinstance(v[0], list)]
+
+
 @pytest.mark.parametrize("group,radius,nodes,count", SOLVER_WORK, ids=WORK_IDS)
 def test_solver_work_is_pinned(group, radius, nodes, count):
     search = lospace._ConeSearch(group, radius)
