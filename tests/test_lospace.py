@@ -292,7 +292,7 @@ def _table_clauses(table, code) -> list:
 
 # every SOLVER_WORK ball, the Klein ball(12) that cone completions reach,
 # and the largest ball of each group that `ord lospace` offers, the last
-# five on a group built in the test, so their balls leave with it
+# six on a group built in the test, so their balls leave with it
 PIN_BALLS = [(lambda g=g: g, r) for g, r, _, _ in SOLVER_WORK] + [
     (klein_group, 12), (lambda: lattice_group(1), 499), (lambda: lattice_group(2), 21),
     (lambda: lattice_group(3), 8), (klein_group, 21), (lambda: free_group(2), 5)]
