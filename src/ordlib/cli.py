@@ -62,7 +62,6 @@ from .lattice import (
     ALL_ORDERINGS,
     FormFlag,
     TotalityError,
-    WITNESS_RADIUS,
     is_scalar_star,
     lattice_group,
     mat_from_rows,
@@ -379,16 +378,16 @@ def cmd_abelian_vlo(args) -> int:
     f2 = _parse_flag(args.second, args.d)
     basis1 = _parse_matrix(args.basis1) if args.basis1 else None
     basis2 = _parse_matrix(args.basis2) if args.basis2 else None
+    # a rank mismatch is a usage error, whatever the totality of the flags
+    if f2.rank != f1.rank:
+        raise UsageError("flags have different ranks")
+    if any(b is not None and len(b) != f1.rank for b in (basis1, basis2)):
+        raise UsageError("sublattice basis has the wrong rank")
     for flag in (f1, f2):
         if not flag.is_total():
             raise TotalityError(f"{flag.descriptor()} is not total")
     equal, witness = vlo_equal(f1, f2, basis1, basis2)
-    if equal:
-        print("equal")
-    elif witness is None:
-        print(f"differ, no witness in ball({WITNESS_RADIUS})")
-    else:
-        print(f"differ, witness {_vec_str(witness)}")
+    print("equal" if equal else f"differ, witness {_vec_str(witness)}")
     return 0
 
 

@@ -15,8 +15,9 @@ an eigenvector of M with positive eigenvalue.
 Equality of flag orderings is decided exactly by `FormFlag.canonical`, a
 normal form built from the chain of convex subgroups (Robbiano, Sikora), so
 `preserves`, `vlo_equal` and `comm_acts_trivially` give exact verdicts.
-Only the search for a vector witnessing a difference is bounded, to
-ball(WITNESS_RADIUS).
+A vector witnessing a difference is exact too: `disagreement_vector` walks
+a plane inside the first convex subgroup where the forms differ, with no
+radius.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Group, GroupAutomorphism, SignOracle, SizeLimitError
+from .core import Group, GroupAutomorphism, SignOracle
 from .quadfield import QuadRat, UnsupportedFieldError, _square_free_part
 
 
@@ -68,21 +69,12 @@ class LatticeGroup(Group):
     def invert(self, g):
         return tuple(-a for a in g)
 
-    def ball_exceeds(self, radius: int, cap: int) -> bool:
-        """Counted in closed form, with no walk: the l1 ball of radius r
-        holds 2^k C(n, k) C(r, k) vectors with exactly k nonzero entries
-        (their support, their signs, and k positive parts summing to at
-        most r)."""
-        n = self.rank
-        return sum(2**k * math.comb(n, k) * math.comb(radius, k)
-                   for k in range(min(n, radius) + 1)) > cap
-
-    def sort_key(self, g):
-        letters = []
-        for i, c in enumerate(g):
-            if c:
-                letters.extend([(i, 0 if c > 0 else 1)] * abs(c))
-        return (sum(abs(c) for c in g), tuple(letters))
+    @staticmethod
+    def sort_key(g):
+        """The l1 length, then the word e_i^c in index order read as
+        letters: a lower index first, then a positive entry, then a larger
+        |c|.  One triple per nonzero entry, whatever its size."""
+        return (sum(map(abs, g)), tuple((i, c < 0, -abs(c)) for i, c in enumerate(g) if c))
 
     def label(self, g):
         return "(" + ",".join(str(c) for c in g) + ")"
@@ -174,6 +166,20 @@ def rational_rank(rows) -> int:
     return len(row_reduce(rows)[1])
 
 
+def _integer_row(u) -> tuple[tuple, tuple]:
+    """u as integer rows (A, B) with D u = A + sqrt(d) B for some D > 0; a
+    positive factor leaves every sign and every zero set alone."""
+    den = math.lcm(*(x.a.denominator for x in u), *(x.b.denominator for x in u))
+    return (tuple(x.a.numerator * (den // x.a.denominator) for x in u),
+            tuple(x.b.numerator * (den // x.b.denominator) for x in u))
+
+
+def _pair(row, v) -> tuple[int, int]:
+    """<v, A + sqrt(d) B> for an integer vector v, as the pair (A.v, B.v)."""
+    a_row, b_row = row
+    return sum(map(operator.mul, v, a_row)), sum(map(operator.mul, v, b_row))
+
+
 @dataclass(frozen=True)
 class FormFlag:
     """An ordered flag of Q(sqrt d) vectors defining a lex sign map."""
@@ -202,14 +208,7 @@ class FormFlag:
 
     @functools.cached_property
     def _integer_rows(self) -> tuple:
-        """Each u_i as integer rows (A_i, B_i) with D_i u_i = A_i + sqrt(d) B_i
-        for some D_i > 0; a positive factor leaves every sign alone."""
-        rows = []
-        for u in self.vectors:
-            den = math.lcm(*(x.a.denominator for x in u), *(x.b.denominator for x in u))
-            rows.append((tuple(x.a.numerator * (den // x.a.denominator) for x in u),
-                         tuple(x.b.numerator * (den // x.b.denominator) for x in u)))
-        return tuple(rows)
+        return tuple(map(_integer_row, self.vectors))
 
     def form_sign(self, v) -> int:
         """Sign of the first nonzero <v, u_i>; 0 only when all vanish.
@@ -348,10 +347,143 @@ def _sublattice_basis(basis, rank: int):
     return b
 
 
-WITNESS_RADIUS = 24
-# the witness search walks ball(WITNESS_RADIUS) of Z^rank: Z^3's has 19,649
-# elements and Z^4's 241,601, so it is refused above rank 3
-MAX_WITNESS_BALL = 20_000
+def _primitive(v) -> tuple:
+    """The primitive integer vector on the ray of a nonzero rational vector."""
+    den = math.lcm(*(c.denominator for c in v))
+    w = [int(c * den) for c in v]
+    g = math.gcd(*w)
+    return tuple(c // g for c in w)
+
+
+def _kernel_basis(rows, rank: int) -> list:
+    """Primitive integer vectors spanning the common kernel of rational
+    rows, one per free column of their RREF: the unit basis when there are
+    no rows."""
+    rref, pivots, _ = row_reduce(rows)
+    basis = []
+    for free in range(rank):
+        if free not in pivots:
+            v = [int(i == free) for i in range(rank)]
+            for row, col in zip(rref, pivots):
+                v[col] = -row[free]
+            basis.append(_primitive(v))
+    return basis
+
+
+def _floor(x: QuadRat) -> int:
+    """floor(a + b sqrt d), exactly: with x = (A + B sqrt d) / D, |B| sqrt d
+    lies strictly between isqrt(B^2 d) and the next integer when B != 0."""
+    den = math.lcm(x.a.denominator, x.b.denominator)
+    a = x.a.numerator * (den // x.a.denominator)
+    b = x.b.numerator * (den // x.b.denominator)
+    root = math.isqrt(b * b * x.d)
+    return (a + root) // den if b >= 0 else (a - root - 1) // den
+
+
+def _simplest_between(lo: QuadRat, hi: QuadRat | None) -> tuple[int, int]:
+    """(p, q) with q/p the simplest fraction strictly between lo >= 0 and
+    hi > lo (None for infinity): the least p and the least q of any
+    fraction there.  A Stern-Brocot walk that takes each run of equal
+    turns at once by an exact floor, so its continued fraction is found
+    in a loop, not a recursion (Graham, Knuth and Patashnik, Concrete
+    Mathematics, 4.5)."""
+    terms = []
+    while True:
+        n = _floor(lo)
+        if hi is None or (hi - (n + 1)).sign() > 0:
+            terms.append(n + 1)
+            break
+        # lo and hi lie in [n, n + 1]: go on with the reciprocals of the
+        # fractional parts, which swaps the ends
+        terms.append(n)
+        lo, hi = 1 / (hi - n), (None if lo == n else 1 / (lo - n))
+    q, p = terms.pop(), 1
+    for t in reversed(terms):
+        q, p = t * q + p, q
+    return p, q
+
+
+def _positive_multiples(x, y) -> bool:
+    """Are the nonzero field pairs x, y positive multiples of each other?"""
+    return ((x[0] * y[1] - x[1] * y[0]).sign() == 0
+            and (x[0].sign(), x[1].sign()) == (y[0].sign(), y[1].sign()))
+
+
+def _plane_witness(f1: FormFlag, f2: FormFlag, lines, b1, b2) -> tuple:
+    """The first vector by sort_key on which f1 and f2 differ, among a
+    finite set of candidates p b1 + q b2 that meets every region of the
+    plane where both signs are constant.
+
+    lines holds, for each step-k functional the flags sign the plane by,
+    its values on b1 and b2 as integer pairs (a, r) for a + r sqrt d, up to
+    a positive factor.  Off their zero lines both signs are constant on
+    each open sector, and both are odd, so the half-plane p > 0 holds a
+    representative of every region: the quadrants q > 0 and q < 0, cut
+    into open slope intervals by the zero lines, the rational zero lines
+    themselves, and the axes b1 and b2.  Each interval contributes its
+    simplest fraction, which has the least p and q there; each rational
+    line its primitive vector.
+    """
+    d = f1.d
+    zeros = []
+    for (a1, r1), (a2, r2) in lines:
+        # the zero line (a1 + r1 sqrt d) p + (a2 + r2 sqrt d) q = 0 has
+        # slope q/p = -(a1 + r1 sqrt d)(a2 - r2 sqrt d) / (a2^2 - d r2^2)
+        if a2 or r2:
+            n = a2 * a2 - d * r2 * r2
+            zeros.append(QuadRat(Fraction(d * r1 * r2 - a1 * a2, n),
+                                 Fraction(a1 * r2 - r1 * a2, n), d))
+    slopes = []
+    for s in (1, -1):
+        cuts = sorted({s * c for c in zeros if c.sign() == s})
+        slopes += [(s, c.a.denominator, c.a.numerator) for c in cuts if c.b == 0]
+        ends = [QuadRat.of(0, 0, d)] + cuts + [None]
+        slopes += [(s, *_simplest_between(lo, hi)) for lo, hi in zip(ends, ends[1:])]
+    candidates = [b1, b2] + [tuple(p * x + s * q * y for x, y in zip(b1, b2))
+                             for s, p, q in slopes]
+    return min((w for v in candidates if f1.form_sign(v) != f2.form_sign(v)
+                for w in (v, tuple(-c for c in v))), key=LatticeGroup.sort_key)
+
+
+def disagreement_vector(f1: FormFlag, f2: FormFlag) -> tuple | None:
+    """An integer vector on which the two flag signs differ, or None when
+    the canonical forms are equal; exact in any rank, with no radius.
+
+    Let k be the first step where the canonical forms differ (or the
+    shorter length).  On W, the common kernel of the steps before k, f1
+    signs by its step-k functional alpha and f2 by beta, which are not
+    positive multiples there; off W the flags agree.  A line W gives +-b,
+    the first by sort_key.  Otherwise a plane (b_i, b_j) of W's basis is
+    walked by `_plane_witness`: alpha(b_i) != 0, and on the plane beta is
+    nonzero and not a positive multiple of alpha, which some j gives since
+    beta is not one on W.  On Z^2 the result is the first disagreement in
+    ball order.
+    """
+    if f1.rank != f2.rank:
+        raise ValueError("flags have different ranks")
+    if f1.d != f2.d:
+        raise UnsupportedFieldError(f"flags live in Q(sqrt {f1.d}) and Q(sqrt {f2.d})")
+    form1, form2 = f1.canonical, f2.canonical
+    if form1 == form2:
+        return None
+    k = next((i for i, (x, y) in enumerate(zip(form1, form2)) if x != y),
+             min(len(form1), len(form2)))
+    parts = [[x.a for x in u] for u in form1[:k]] + [[x.b for x in u] for u in form1[:k]]
+    basis = _kernel_basis(parts, f1.rank)
+    if len(basis) == 1:
+        b = basis[0]
+        return min(b, tuple(-c for c in b), key=LatticeGroup.sort_key)
+    if k == len(form1):
+        f1, f2, form1, form2 = f2, f1, form2, form1
+    values = [[_pair(_integer_row(form[k]), b) for b in basis]
+              for form in (form1, form2) if k < len(form)]
+    i = next(i for i, x in enumerate(values[0]) if any(x))
+    if len(values) == 1:
+        return basis[i]
+    a, c = ([QuadRat.of(*x, f1.d) for x in row] for row in values)
+    j = next(j for j in range(len(basis)) if j != i and (c[i].sign() or c[j].sign())
+             and not _positive_multiples((a[i], a[j]), (c[i], c[j])))
+    return _plane_witness(f1, f2, [(row[i], row[j]) for row in values], basis[i], basis[j])
 
 
 def vlo_equal(f1: FormFlag, f2: FormFlag, basis1=None,
@@ -362,31 +494,18 @@ def vlo_equal(f1: FormFlag, f2: FormFlag, basis1=None,
     Each basis is an integer row matrix spanning the carrying sublattice;
     None means the full lattice.  Flag signs are homogeneous, so agreeing
     on a finite-index sublattice is agreeing everywhere, and the verdict is
-    exact: the canonical forms are compared.  The witness search is
-    bounded: on a difference, the first disagreement in the intersection
-    inside ball(WITNESS_RADIUS) is returned, or None when that ball has
-    none.  A ball of more than MAX_WITNESS_BALL elements is refused with
-    SizeLimitError after counting, before it is built.
+    exact: the canonical forms are compared.  On a difference the witness
+    is `disagreement_vector` scaled by the least positive integer that
+    puts it in both sublattices, so it is never None.
     """
-    if f1.rank != f2.rank:
-        raise ValueError("flags have different ranks")
-    if f1.d != f2.d:
-        raise UnsupportedFieldError(f"flags live in Q(sqrt {f1.d}) and Q(sqrt {f2.d})")
+    v = disagreement_vector(f1, f2)
     inverses = [mat_inverse(b) for b in (_sublattice_basis(basis1, f1.rank),
                                          _sublattice_basis(basis2, f1.rank))
                 if b is not None]
-    if f1.canonical == f2.canonical:
+    if v is None:
         return (True, None)
-    group = lattice_group(f1.rank)
-    if group.ball_exceeds(WITNESS_RADIUS, MAX_WITNESS_BALL):
-        raise SizeLimitError(
-            f"ball({WITNESS_RADIUS}) of {group.name} has more than {MAX_WITNESS_BALL} "
-            "elements, too many for a witness search")
-    for v in group.ball(WITNESS_RADIUS)[1:]:
-        if f1.form_sign(v) != f2.form_sign(v) and all(
-                x.denominator == 1 for inv in inverses for x in row_times_mat(v, inv)):
-            return (False, v)
-    return (False, None)
+    n = math.lcm(*(x.denominator for inv in inverses for x in row_times_mat(v, inv)))
+    return (False, tuple(n * c for c in v))
 
 
 ALL_ORDERINGS = "all"

@@ -146,7 +146,7 @@ def test_abelian_eigen_star_vlo(capsys):
     assert (rc, out) == (0, ["differ, witness (1,-1)"])
     rc, out = run(capsys, "abelian", "vlo", "--first", "(1,0);(0,1)",
                   "--second", "(1,1/1000);(0,1)")
-    assert (rc, out) == (0, ["differ, no witness in ball(24)"])
+    assert (rc, out) == (0, ["differ, witness (1,-1000)"])
 
 
 @pytest.mark.parametrize("first,second,bad", [
@@ -167,17 +167,30 @@ def _unit_flag(rank, last=0):
 
 
 @pytest.mark.parametrize("rank", [4, 8])
-def test_abelian_vlo_refuses_a_witness_ball_past_its_cap(capsys, rank):
-    """Differing flags of rank 4 and more would search ball(24) of Z^rank,
-    241,601 vectors at rank 4; that ball is counted and refused."""
+def test_abelian_vlo_answers_past_rank_three(capsys, rank):
+    """The witness comes from the first differing canonical step, so no
+    rank is refused: here the plane of the last two unit vectors."""
+    start = time.perf_counter()
     rc, out = run(capsys, "abelian", "vlo", "--first", _unit_flag(rank),
                   "--second", _unit_flag(rank, "1/1000"))
-    assert rc == 1
-    assert out == [f"error: SizeLimitError: ball(24) of Z^{rank} has more than "
-                   "20000 elements, too many for a witness search"]
+    assert time.perf_counter() - start < 2.0
+    assert (rc, out) == (0, ["differ, witness (" + "0," * (rank - 2) + "1,-1000)"])
     rc, out = run(capsys, "abelian", "vlo", "--first", _unit_flag(rank),
                   "--second", _unit_flag(rank).replace("(1,", "(2,", 1))
     assert (rc, out) == (0, ["equal"])
+
+
+@pytest.mark.parametrize("nudge,witness", [
+    ("1/1000", "(41,-58)"),
+    ("1/1" + "0" * 300, None),
+])
+def test_abelian_vlo_walks_to_a_nudged_line_quickly(capsys, nudge, witness):
+    start = time.perf_counter()
+    rc, out = run(capsys, "abelian", "vlo", "--first", "(√2,1)",
+                  "--second", f"({nudge}+√2,1)")
+    assert time.perf_counter() - start < 2.0
+    assert rc == 0 and out[0].startswith("differ, witness (")
+    assert witness is None or out == [f"differ, witness {witness}"]
 
 
 def test_abelian_vlo_has_no_radius(capsys):
@@ -375,6 +388,8 @@ def test_verify_single_suite(capsys):
      "--basis1", "[[1/0,0],[0,1]]"),
     ("abelian", "sign", "--flag", "(1,0)", "--vector", "(1/0,1)"),
     ("abelian", "sign", "--flag", "(1/0√2,1)", "--vector", "(1,1)"),
+    # ranks are checked before totality
+    ("abelian", "vlo", "--first", "(1,0)", "--second", "(1,0,0);(0,1,0);(0,0,1)"),
 ])
 def test_usage_errors_exit_two(capsys, argv):
     start = time.perf_counter()
@@ -511,7 +526,8 @@ _MATRICES = ["[[1,2],[1,1]]", "[[3,0],[0,2]]", "[[2,0],[0,2]]",
 _FLAGS = ["(1,0);(0,1)", "(√2,1)", "(-√2,1)", "(sqrt2,1)", "(1+√2,1)",
           "(√3,1)", "(√5,1)", "(1,1/1000);(0,1)", "(0,0)", "(1,", "",
           "(2,0);(0,2)", "(1,0,0);(0,1,0);(0,0,1)", "(3/2√2,1)", "(√4,1)",
-          "(1/0√2,1)"]
+          "(1/0√2,1)", "(1/1000+√2,1)", "(1,0,0,0);(0,1,0,0);(0,0,1,0);(0,0,0,1)",
+          "(1,0,0,0);(0,1,0,0);(0,0,1,1/1000);(0,0,0,1)"]
 _VECTORS = ["(1,1)", "(0,-3)", "(1,-2)", "(√2,1)", "()", "(1,2,3)", "(x,1)",
             "(1/0,1)"]
 _D = ["2", "3", "5", "1", "0", "-7", "4", str(10**18 - 11), "1000000007", "x"]

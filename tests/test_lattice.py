@@ -1,6 +1,7 @@
 """Flag orderings of Z^n and the matrix action on them."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,10 @@ from ordlib.extensions import _hyperbolic_power
 from ordlib.lattice import (
     ALL_ORDERINGS,
     FormFlag,
+    LatticeGroup,
     TotalityError,
     comm_acts_trivially,
+    disagreement_vector,
     eigen_orderings,
     flag_ordering,
     is_scalar_star,
@@ -24,6 +27,7 @@ from ordlib.lattice import (
     matrix_pushforward,
     preserves,
     probe_flags,
+    row_times_mat,
     vlo_equal,
 )
 from ordlib.quadfield import QuadRat, UnsupportedFieldError
@@ -193,7 +197,7 @@ def test_canonical_form():
 
 def test_bounded_scans_no_longer_decide():
     nudged = FormFlag.of([(R2 + Fraction(1, 1000), 1)])
-    assert vlo_equal(PLUS, nudged) == (False, None)
+    assert vlo_equal(PLUS, nudged) == (False, (41, -58))
     assert not preserves([[1, Fraction(-1, 1000)], [0, 1]], PLUS)
     assert vlo_equal(FormFlag.of([(1, 0)]), FormFlag.of([(0, 1)])) == (False, (1, 0))
     with pytest.raises(UnsupportedFieldError):
@@ -368,3 +372,134 @@ def test_canonical_form_against_ball_scans(d):
         equal += same
         differ += hit is not None
     assert equal >= 334 and differ >= 0.9 * (1000 - equal)
+
+
+def _expanded_key(v):
+    """The lattice sort key spelled out letter by letter: l1 length, then
+    e_i^c written as |c| copies of (i, 0) or (i, 1)."""
+    letters = []
+    for i, c in enumerate(v):
+        letters.extend([(i, 0 if c > 0 else 1)] * abs(c))
+    return (sum(map(abs, v)), tuple(letters))
+
+
+def test_lattice_sort_key_orders_like_the_expanded_key():
+    rng = random.Random(41)
+    for _ in range(20_000):
+        rank = rng.randint(1, 5)
+        span = rng.choice((1, 3, 12))
+        u, v = (tuple(rng.randint(-span, span) for _ in range(rank)) for _ in range(2))
+        if rng.random() < 0.5:
+            # same length, so the letters decide
+            v = tuple(rng.sample(u, rank)) if rng.random() < 0.5 else tuple(-c for c in u)
+        assert ((LatticeGroup.sort_key(u) < LatticeGroup.sort_key(v))
+                == (_expanded_key(u) < _expanded_key(v))), (u, v)
+    for rank, r in ((1, 30), (2, 21), (3, 8), (4, 5)):
+        ball = lattice_group(rank).ball(r)
+        assert ball == sorted(ball, key=_expanded_key)
+    # one triple per entry, however large
+    assert LatticeGroup.sort_key((1, -10**300)) == (10**300 + 1, ((0, False, -1),
+                                                                  (1, True, -10**300)))
+
+
+_BALL24 = [v for v in sorted(Z2.ball(24), key=_expanded_key) if any(v)]
+
+
+def _scan_witness(f1, f2, basis):
+    """The first disagreement of ball(24) of Z^2, in ball order, that lies
+    in the sublattice spanned by the basis rows; None if there is none."""
+    inverse = basis and mat_inverse(mat_from_rows(basis))
+    for v in _BALL24:
+        if f1.form_sign(v) != f2.form_sign(v) and (
+                not basis or all(x.denominator == 1 for x in row_times_mat(v, inverse))):
+            return v
+    return None
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_vlo_witness_is_the_first_of_the_ball_on_z2(d):
+    """1,000 seeded Z^2 pairs per field, flags that are not total and the
+    basis 2I included: wherever a scan of ball(24) finds a disagreement,
+    the exact witness is the one it finds, and every witness disagrees."""
+    rng = random.Random(2000 + d)
+    two = [[2, 0], [0, 2]]
+    differ = found = 0
+    for i in range(1000):
+        vectors = _random_flag(rng, 2, d)
+        other = _respelled(rng, vectors, d) if i % 5 == 0 else _near_miss(rng, vectors, d)
+        f1, f2 = FormFlag.of(vectors, d), FormFlag.of(other, d)
+        basis = two if i % 3 == 0 else None
+        equal, witness = vlo_equal(f1, f2, basis1=basis)
+        assert equal == (f1.canonical == f2.canonical)
+        if equal:
+            assert witness is None
+            continue
+        differ += 1
+        assert f1.form_sign(witness) != f2.form_sign(witness), (vectors, other)
+        if basis:
+            assert all(c % 2 == 0 for c in witness)
+        scan = _scan_witness(f1, f2, basis)
+        if scan is not None:
+            found += 1
+            assert witness == scan, (vectors, other, basis)
+    assert differ >= 550 and found >= 0.9 * differ
+
+
+def _random_basis(rng, rank):
+    while True:
+        rows = [[rng.randint(-2, 2) for _ in range(rank)] for _ in range(rank)]
+        if mat_det(mat_from_rows(rows)):
+            return rows
+
+
+@pytest.mark.parametrize("rank", [3, 4, 5, 6])
+def test_vlo_witness_in_higher_ranks(rank):
+    """Seeded pairs with random sublattice bases: the verdict is the
+    canonical one, and each witness disagrees and lies in both
+    sublattices."""
+    rng = random.Random(3000 + rank)
+    for i in range(80):
+        d = rng.choice((2, 3, 5))
+        vectors = _random_flag(rng, rank, d)
+        other = _respelled(rng, vectors, d) if i % 5 == 0 else _near_miss(rng, vectors, d)
+        f1, f2 = FormFlag.of(vectors, d), FormFlag.of(other, d)
+        bases = [_random_basis(rng, rank) if rng.random() < 0.5 else None for _ in range(2)]
+        equal, witness = vlo_equal(f1, f2, *bases)
+        assert equal == (f1.canonical == f2.canonical)
+        if equal:
+            assert witness is None
+            continue
+        assert f1.form_sign(witness) != f2.form_sign(witness), (vectors, other)
+        for basis in filter(None, bases):
+            image = row_times_mat(witness, mat_inverse(mat_from_rows(basis)))
+            assert all(x.denominator == 1 for x in image), (witness, basis)
+
+
+def test_disagreement_vector_is_exact():
+    assert disagreement_vector(LEX1, FormFlag.of([(2, 0), (5, 7)])) is None
+    assert disagreement_vector(LEX1, FormFlag.of([(1, Fraction(1, 1000)), (0, 1)])) == (1, -1000)
+    rank3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    nudged = [(1, 0, 0), (0, 1, Fraction(1, 1000)), (0, 0, 1)]
+    assert disagreement_vector(FormFlag.of(rank3), FormFlag.of(nudged)) == (0, 1, -1000)
+    # a flag that stops early differs from one that goes on
+    assert disagreement_vector(FormFlag.of([(1, 0, 0)]), FormFlag.of(rank3)) == (0, 1, 0)
+    rank4 = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    assert disagreement_vector(FormFlag.of(rank4[:1]), FormFlag.of(rank4)) == (0, 1, 0, 0)
+    with pytest.raises(ValueError):
+        disagreement_vector(LEX1, FormFlag.of(rank3))
+
+
+def test_vlo_witness_of_a_tiny_nudge_is_quick():
+    start = time.perf_counter()
+    nudged = FormFlag.of([(R2 + Fraction(1, 10**300), 1)])
+    equal, witness = vlo_equal(PLUS, nudged)
+    assert time.perf_counter() - start < 2.0
+    assert not equal
+    assert PLUS.form_sign(witness) == -1 and nudged.form_sign(witness) == 1
+
+
+def test_vlo_witness_on_a_skew_sublattice():
+    """The basis [[3,1],[1,2]] has index 5.  The witness is the first
+    disagreement of Z^2, (1,-1), times 5; the first one of the sublattice
+    in ball order would be (2,-1)."""
+    assert vlo_equal(LEX1, LEX2, basis1=[[3, 1], [1, 2]]) == (False, (5, -5))
