@@ -71,7 +71,6 @@ from .lattice import (
     vlo_equal,
 )
 from .lospace import (
-    check_ball_size,
     condition_star_check,
     count_partial_cones,
     enumerate_partial_cones,
@@ -301,14 +300,12 @@ def cmd_braid_reduce(args) -> int:
 def cmd_braid_least(args) -> int:
     group = braid_group(args.strands)
     oracle = _braid_oracle(group, args.ordering)
-    check_ball_size(group, args.radius)
     print(group.label(least_positive_in_ball(oracle, group, args.radius)))
     return 0
 
 
 def cmd_klein_orderings(args) -> int:
     group = klein_group()
-    check_ball_size(group, args.radius)
     for oracle in klein_orderings():
         signs = " ".join(
             f"{group.label(g)}:{SIGN_CHARS[oracle.sign(g)]}"
@@ -410,7 +407,6 @@ def cmd_free_sign(args) -> int:
 
 def cmd_free_witness(args) -> int:
     group = free_group(2)
-    check_ball_size(group, args.radius)
     hit = distinguishing_witness(free_probe(group, args.probe),
                                  free_probe_catalog(group), group, args.radius)
     if hit is None:
@@ -432,14 +428,12 @@ def cmd_ext_build(args) -> int:
 
 
 def cmd_ext_verify(args) -> int:
-    check_ball_size(g_group(), args.radius)
     report = verify_cone_axioms(g_ordering(), g_group(), args.radius)
     print("pass" if report.passed else f"fail: {report}")
     return 0 if report.passed else 1
 
 
 def cmd_ext_least(args) -> int:
-    check_ball_size(g_group(), args.radius)
     print(g_group().label(g_least_positive(args.radius)))
     return 0
 
@@ -475,7 +469,6 @@ def cmd_lospace_separate(args) -> int:
     group = klein_group()
     first = klein_ordering(_klein_params(args.first))
     second = klein_ordering(_klein_params(args.second))
-    check_ball_size(group, args.radius)
     g = separating_element(first, second, group, args.radius)
     print(group.label(g) if g is not None else "none")
     return 0

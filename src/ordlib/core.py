@@ -17,7 +17,9 @@ letters precede negative ones and lower generator indices come first.  The
 identity is the only element of length 0, so element 0 is always the
 identity and no other element is; scans over the nonidentity elements walk
 ``ball(r)[1:]``.  Witness searches walk that order, so results are
-deterministic.
+deterministic.  Every ball is capped at ``MAX_BALL`` elements as it is
+walked: the walk stops after ``MAX_BALL + 1`` elements and a ball that
+reaches them is refused with ``SizeLimitError``, keeping none.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ POSITIVE, NEGATIVE = 1, -1
 
 # each group keeps the balls of its most recently used radii, this many
 BALL_CACHE_RADII = 4
+# a ball of more than this many elements is refused as it is walked
+MAX_BALL = 5000
 
 
 class BudgetExceededError(RuntimeError):
@@ -298,19 +302,16 @@ class Group(ABC):
     def ball(self, radius: int) -> list:
         return self.ball_data(radius).elements
 
-    def ball_exceeds(self, radius: int, cap: int) -> bool:
-        """Does ball(radius) hold more than cap elements?  A ball not built
-        yet is counted only up to cap + 1 elements, and not built."""
-        if radius in self._balls:
-            return len(self._balls[radius].elements) > cap
-        return sum(1 for _ in itertools.islice(self._ball_elements(radius), cap + 1)) > cap
-
     def ball_data(self, radius: int) -> BallData:
         if radius < 0:
             raise ValueError("radius must be non-negative")
         data = self._balls.get(radius)
         if data is None:
-            elems = sorted(self._ball_elements(radius), key=self.sort_key)
+            elems = list(itertools.islice(self._ball_elements(radius), MAX_BALL + 1))
+            if len(elems) > MAX_BALL:
+                raise SizeLimitError(
+                    f"ball({radius}) of {self.name} has more than {MAX_BALL} elements")
+            elems.sort(key=self.sort_key)
             data = self._balls[radius] = BallData(self, radius, elems)
             if len(self._balls) > BALL_CACHE_RADII:
                 self._balls.popitem(last=False)

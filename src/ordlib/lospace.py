@@ -48,7 +48,6 @@ from .core import (
 
 __all__ = [
     "PartialCone",
-    "check_ball_size",
     "count_partial_cones",
     "enumerate_partial_cones",
     "extend_partial_cone",
@@ -58,18 +57,10 @@ __all__ = [
 ]
 
 DEFAULT_NODE_LIMIT = 2_000_000
-MAX_BALL = 5000
 # a cone search first reads the n(n+1)/2 products of the upper triangle of
-# the ball's product table, so its ball is capped at 1000 elements
+# the ball's product table, so its ball, once built, is capped at 1000
+# elements
 MAX_CONE_BALL = 1000
-
-
-def check_ball_size(group: Group, radius: int) -> None:
-    """Refuse ball(radius) when it holds more than MAX_BALL elements, after
-    counting at most MAX_BALL + 1 of them and building none."""
-    if group.ball_exceeds(radius, MAX_BALL):
-        raise SizeLimitError(
-            f"ball({radius}) of {group.name} has more than {MAX_BALL} elements")
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,11 +93,6 @@ class PartialCone:
 
     def elements(self) -> tuple:
         return tuple(self.group.ball(self.radius)[1:])
-
-    def restricted(self, radius: int) -> "PartialCone":
-        if radius > self.radius:
-            raise ValueError("restriction radius exceeds the cone's radius")
-        return PartialCone.from_oracle(self, self.group, radius)
 
     @classmethod
     def from_oracle(cls, oracle: SignOracle, group: Group, radius: int) -> "PartialCone":
@@ -208,11 +194,11 @@ _CLAUSE_INDEX: weakref.WeakKeyDictionary[BallData, _ClauseIndex] = weakref.WeakK
 
 
 def _clause_index(group: Group, radius: int) -> _ClauseIndex:
-    if group.ball_exceeds(radius, MAX_CONE_BALL):
+    data = group.ball_data(radius)
+    if len(data.elements) > MAX_CONE_BALL:
         raise SizeLimitError(
             f"ball({radius}) of {group.name} has more than {MAX_CONE_BALL} "
             "elements, too many for a cone search")
-    data = group.ball_data(radius)
     index = _CLAUSE_INDEX.get(data)
     if index is None:
         index = _CLAUSE_INDEX[data] = _ClauseIndex(data)

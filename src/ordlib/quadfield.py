@@ -101,10 +101,6 @@ class QuadRat:
         # field norm (a + b*sqrt(d))(a - b*sqrt(d))
         return self.a * self.a - self.d * self.b * self.b
 
-    @property
-    def conj(self) -> "QuadRat":
-        return QuadRat(self.a, -self.b, self.d)
-
     def inverse(self) -> "QuadRat":
         n = self.norm
         if n == 0:

@@ -509,6 +509,17 @@ def test_oversized_cone_balls_are_refused_before_they_are_built(argv):
     assert proc.stdout.startswith("error: SizeLimitError: ")
 
 
+def test_lospace_refusals_name_their_cap(capsys):
+    """A ball over 5,000 elements is refused as it is walked; one under
+    that but over 1,000 elements is refused by the cone search."""
+    rc, out = run(capsys, "lospace", "enum", "--group", "klein", "--radius", "100000")
+    assert (rc, out) == (1, ["error: SizeLimitError: ball(100000) of Klein "
+                             "has more than 5000 elements"])
+    rc, out = run(capsys, "lospace", "enum", "--group", "z", "--radius", "2400")
+    assert (rc, out) == (1, ["error: SizeLimitError: ball(2400) of Z^1 has more "
+                             "than 1000 elements, too many for a cone search"])
+
+
 # Values the argv fuzz draws from: valid ones, malformed ones, and values
 # that once crashed or stalled the command (huge exponents and fields, long
 # words, negative radii, oversized radii, strand counts and ranks).  Radii
@@ -528,6 +539,12 @@ _FLAGS = ["(1,0);(0,1)", "(√2,1)", "(-√2,1)", "(sqrt2,1)", "(1+√2,1)",
           "(2,0);(0,2)", "(1,0,0);(0,1,0);(0,0,1)", "(3/2√2,1)", "(√4,1)",
           "(1/0√2,1)", "(1/1000+√2,1)", "(1,0,0,0);(0,1,0,0);(0,0,1,0);(0,0,0,1)",
           "(1,0,0,0);(0,1,0,0);(0,0,1,1/1000);(0,0,0,1)"]
+# rank-2 flags of d = 2, the nudged ones among them, and valid rank-2
+# sublattice bases: a run drawn from these reaches the vlo witness walk
+_VLO_FLAGS = ["(1,0);(0,1)", "(0,1);(1,0)", "(√2,1)", "(-√2,1)", "(1+√2,1)",
+              "(3/2√2,1)", "(1,1/1000);(0,1)", "(1/1000+√2,1)"]
+_VLO_BASES = ["[[3,1],[1,2]]", "[[1,0],[0,1]]", "[[2,0],[0,3]]", "[[1,1],[0,2]]",
+              "[[2,1],[1,1]]"]
 _VECTORS = ["(1,1)", "(0,-3)", "(1,-2)", "(√2,1)", "()", "(1,2,3)", "(x,1)",
             "(1/0,1)"]
 _D = ["2", "3", "5", "1", "0", "-7", "4", str(10**18 - 11), "1000000007", "x"]
@@ -561,6 +578,8 @@ _COMMANDS = [
     (("abelian", "vlo"), {"--first": _FLAGS, "--second": _FLAGS,
                           "--basis1": _MATRICES, "--basis2": _MATRICES,
                           "--d": _D}),
+    (("abelian", "vlo"), {"--first": _VLO_FLAGS, "--second": _VLO_FLAGS,
+                          "--basis1": _VLO_BASES, "--basis2": _VLO_BASES}),
     (("free", "sign"), {"--word": _WORDS,
                         "--rank": ["1", "2", "3", "0", "x", "1001", "100000000"],
                         "--ordering": ["series", "nclex-x", "nclex-y", "nope"]}),
@@ -608,9 +627,11 @@ def _mutate(rng, text):
 def test_argv_fuzz_keeps_the_exit_contract(capsys):
     """Seeded argv mutations over every subcommand: each run ends within
     2 s with main returning 0, 1 or 2; any exception leaving main, an
-    argparse exit included, fails the test."""
+    argparse exit included, fails the test.  At least one run walks to a
+    vlo witness."""
     rng = random.Random(6)
     codes = set()
+    witnessed = False
     for _ in range(400):
         path, options = rng.choice(_COMMANDS)
         argv = list(path)
@@ -623,8 +644,9 @@ def test_argv_fuzz_keeps_the_exit_contract(capsys):
             argv += value.split() if option is None else [option, value]
         start = time.perf_counter()
         rc = main(argv)
-        capsys.readouterr()
+        witnessed |= capsys.readouterr().out.startswith("differ, witness")
         assert rc in (0, 1, 2), argv
         assert time.perf_counter() - start < 2.0, argv
         codes.add(rc)
     assert codes == {0, 1, 2}
+    assert witnessed

@@ -3,12 +3,14 @@
 import collections
 import gc
 import itertools
+import math
+import re
 import tracemalloc
 import weakref
 
 import pytest
 
-from ordlib import verify
+from ordlib import core, verify
 from ordlib.braid import BraidGroup, braid_group
 from ordlib.core import (
     EQ,
@@ -20,6 +22,7 @@ from ordlib.core import (
     IdentitySignError,
     NoPositiveError,
     SignOracle,
+    SizeLimitError,
     act_automorphism,
     check_bi_invariance,
     compare,
@@ -95,21 +98,46 @@ def test_lattice_balls_walk_the_l1_ball(rank):
         assert set(walked) == {v for v in cube if sum(map(abs, v)) <= r}
 
 
-def test_ball_exceeds_counts_without_building():
+def _count_walked(monkeypatch, group) -> list:
+    """Record every element that the group's ball walks yield."""
+    walked = []
+    walk = group._ball_elements
+
+    def counted(radius):
+        for g in walk(radius):
+            walked.append(g)
+            yield g
+
+    monkeypatch.setattr(group, "_ball_elements", counted)
+    return walked
+
+
+def test_ball_data_refuses_a_huge_ball_as_it_walks(monkeypatch):
     group = LatticeGroup(3)
-    assert group.ball_exceeds(10**6, 5000)
-    assert not group.ball_exceeds(3, 63) and group.ball_exceeds(3, 62)
+    walked = _count_walked(monkeypatch, group)
+    with pytest.raises(SizeLimitError, match=r"^ball\(1000000\) of Z\^3 has more than 5000 elements$"):
+        group.ball_data(10**6)
     assert group._balls == {}
-    group.ball(3)
-    assert not group.ball_exceeds(3, 63) and group.ball_exceeds(3, 62)
+    assert len(walked) == core.MAX_BALL + 1 == 5001
+
+
+def test_the_ball_cap_is_exact(monkeypatch):
+    monkeypatch.setattr(core, "MAX_BALL", 63)
+    assert len(LatticeGroup(3).ball(3)) == 63
+    monkeypatch.setattr(core, "MAX_BALL", 62)
+    group = LatticeGroup(3)
+    with pytest.raises(SizeLimitError, match="more than 62 elements"):
+        group.ball(3)
+    assert group._balls == {}
 
 
 def test_lattice_ball_count_is_closed_form():
+    """The l1 ball of Z^n has sum over k of 2^k C(n, k) C(r, k) points."""
     for rank in range(1, 5):
+        group = LatticeGroup(rank)
         for r in range(9):
-            size = sum(1 for _ in LatticeGroup(rank)._ball_elements(r))
-            group = LatticeGroup(rank)
-            assert group.ball_exceeds(r, size - 1) and not group.ball_exceeds(r, size)
+            size = sum(2**k * math.comb(rank, k) * math.comb(r, k) for k in range(rank + 1))
+            assert len(group.ball(r)) == size
 
 
 @pytest.mark.parametrize("make", [braid_group, lattice_group])
@@ -154,10 +182,12 @@ def test_a_dropped_group_frees_its_balls_at_once():
 
 @pytest.mark.parametrize("group,size3", [
     (FreeGroup(2), 53), (BraidGroup(3), 47), (BraidGroup(4), 131)])
-def test_ball_exceeds_counts_word_balls_without_building(group, size3):
-    assert group.ball_exceeds(10**6, 5000)
-    assert not group.ball_exceeds(3, size3) and group.ball_exceeds(3, size3 - 1)
+def test_word_balls_are_capped_as_they_are_walked(monkeypatch, group, size3):
+    walked = _count_walked(monkeypatch, group)
+    with pytest.raises(SizeLimitError, match=rf"^ball\(1000000\) of {re.escape(group.name)} has"):
+        group.ball_data(10**6)
     assert group._balls == {}
+    assert len(walked) == core.MAX_BALL + 1
     assert len(group.ball(3)) == size3
 
 

@@ -111,6 +111,10 @@ def test_klein_aut_family():
         KleinAut(2, 1, 0)
     assert len(list(klein_family(2))) == 20
     for member in klein_family(3):
+        # f(x) f(y) f(x)^-1 f(y) = 1: the defining relation is preserved
+        fx, fy = member.apply(X), member.apply(Y)
+        fxfy = KLEIN.multiply(fx, fy)
+        assert KLEIN.multiply(KLEIN.multiply(fxfy, KLEIN.invert(fx)), fy) == KLEIN.identity
         auto = member.to_automorphism()
         for g in KLEIN.ball(3):
             assert auto.backward(auto.forward(g)) == g, (member, g)

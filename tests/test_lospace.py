@@ -29,7 +29,7 @@ from ordlib.lospace import (
     extend_partial_cone,
     isolator_member,
 )
-from ordlib.magnus import free_group, free_probe, reduce_word
+from ordlib.magnus import FreeGroup, free_group, free_probe, reduce_word
 
 Z = lattice_group(1)
 Z2 = lattice_group(2)
@@ -96,13 +96,12 @@ def test_partial_cone_accessors():
     for g in cone.elements():
         assert cone.sign(g) == oracle.sign(g)
     assert cone.serialize().splitlines()[0] == "x:+"
-    assert cone.restricted(1).signs == PartialCone.from_oracle(oracle, KLEIN, 1).signs
+    assert (PartialCone.from_oracle(cone, KLEIN, 1).signs
+            == PartialCone.from_oracle(oracle, KLEIN, 1).signs)
     with pytest.raises(IdentitySignError):
         cone.sign(KLEIN.identity)
     with pytest.raises(KeyError):
         cone.sign((9, 9))
-    with pytest.raises(ValueError):
-        cone.restricted(5)
     with pytest.raises(ValueError):
         extend_partial_cone(cone, KLEIN, 3)
 
@@ -117,7 +116,7 @@ def test_braid_cone_restricts_and_extends_by_key():
     b3 = braid_group(3)
     oracle = dehornoy_oracle(b3)
     cone = PartialCone.from_oracle(oracle, b3, 3)
-    inner = cone.restricted(2)
+    inner = PartialCone.from_oracle(cone, b3, 2)
     assert inner.signs == PartialCone.from_oracle(oracle, b3, 2).signs
     assert len(cone.signs) == len(b3.ball(3)) - 1
     # s2 s1 s2 s1^-1 = s1 s2 lies in ball(2); s1 s2 s1 s2^-1 = s2 s1 too
@@ -128,7 +127,7 @@ def test_braid_cone_restricts_and_extends_by_key():
     completions = extend_partial_cone(inner, b3, 3)
     assert cone.signs in [c.signs for c in completions]
     for c in completions:
-        assert c.restricted(2).signs == inner.signs
+        assert PartialCone.from_oracle(c, b3, 2).signs == inner.signs
 
 
 @pytest.mark.parametrize("max_results", [0, -3])
@@ -163,6 +162,25 @@ def test_node_limit_and_ball_cap(monkeypatch):
         enumerate_partial_cones(free_group(2), 2)
     with pytest.raises(SizeLimitError):
         enumerate_partial_cones(Z2, 50)
+
+
+@pytest.mark.parametrize("make,radius,count", [
+    (lambda: LatticeGroup(3), 3, 336), (KleinGroup, 8, 4), (lambda: FreeGroup(2), 3, 216),
+], ids=["Z3-3", "Klein-8", "F2-3"])
+def test_a_first_cone_search_walks_its_ball_once(monkeypatch, make, radius, count):
+    """The cone cap is read off the built ball, so a search on a fresh
+    group walks its ball once, not once to count it and once to build it."""
+    group = make()
+    walks = []
+    walk = group._ball_elements
+
+    def counted(r):
+        walks.append(r)
+        yield from walk(r)
+
+    monkeypatch.setattr(group, "_ball_elements", counted)
+    assert count_partial_cones(group, radius) == count
+    assert walks == [radius]
 
 
 def _count_clause_builds(monkeypatch) -> list:
