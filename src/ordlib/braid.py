@@ -279,12 +279,16 @@ def ordering_oracle(group: BraidGroup, index: int) -> SignOracle:
     element outside <s1> takes the flipped cascade, and inside <s1> the two
     agree, so the ordering is the Dehornoy ordering pushed through the flip.
     Every oracle of one ordering on n strands has the same fn and left.
+    The oracle states its least positive element, s_index: the parabolic
+    is convex, so the least is the parabolic's own, and there the ordering
+    is the Dehornoy ordering, whose last generator is least.
     """
     n = group.strands
     if not 1 <= index < n:
         raise ValueError(f"generator index out of range: {index}")
     fn, left = _ordering_hooks(n, index)
-    return SignOracle(group=group, fn=fn, descriptor=f"least[s{index}]", left=left)
+    return SignOracle(group=group, fn=fn, descriptor=f"least[s{index}]", left=left,
+                      least=(index,))
 
 
 def dehornoy_oracle(group: BraidGroup) -> SignOracle:

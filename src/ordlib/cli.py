@@ -35,12 +35,10 @@ from .core import (
     BudgetExceededError,
     IdentitySignError,
     InconclusiveTruncationError,
-    NoPositiveError,
     RefusedConstructionError,
     SizeLimitError,
     compare,
     distinguishing_witness,
-    least_positive_in_ball,
     separating_element,
     verify_cone_axioms,
 )
@@ -48,7 +46,6 @@ from .extensions import (
     KleinAut,
     KleinOrderingParams,
     g_group,
-    g_least_positive,
     g_ordering,
     klein_action_kernel,
     klein_action_witness,
@@ -92,7 +89,6 @@ COMPUTE_ERRORS = (
     SizeLimitError,
     InconclusiveTruncationError,
     IdentitySignError,
-    NoPositiveError,
     RefusedConstructionError,
     TotalityError,
     UnsupportedFieldError,
@@ -209,17 +205,16 @@ def _parse_vector(text: str, d: int) -> tuple:
     text = text.strip()
     if text.startswith("(") and text.endswith(")"):
         text = text[1:-1]
-    entries = [e for e in text.split(",") if e.strip()]
-    if not entries:
+    if not text.strip():
         raise UsageError(f"empty vector {text!r}")
-    return tuple(_parse_entry(e, d) for e in entries)
+    # an empty entry, as in "(1,,0)", is a bad entry, not a dropped one
+    return tuple(_parse_entry(e, d) for e in text.split(","))
 
 
 def _parse_flag(text: str, d: int = 2) -> FormFlag:
-    vectors = [_parse_vector(part, d) for part in text.split(";") if part.strip()]
-    if not vectors:
+    if not text.strip():
         raise UsageError(f"empty flag {text!r}")
-    return FormFlag.of(vectors, d)
+    return FormFlag.of([_parse_vector(part, d) for part in text.split(";")], d)
 
 
 def _parse_matrix(text: str) -> tuple:
@@ -299,8 +294,7 @@ def cmd_braid_reduce(args) -> int:
 
 def cmd_braid_least(args) -> int:
     group = braid_group(args.strands)
-    oracle = _braid_oracle(group, args.ordering)
-    print(group.label(least_positive_in_ball(oracle, group, args.radius)))
+    print(group.label(_braid_oracle(group, args.ordering).least))
     return 0
 
 
@@ -434,7 +428,7 @@ def cmd_ext_verify(args) -> int:
 
 
 def cmd_ext_least(args) -> int:
-    print(g_group().label(g_least_positive(args.radius)))
+    print(g_group().label(g_ordering().least))
     return 0
 
 
@@ -567,9 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=_non_negative, default=DEFAULT_BUDGET,
                    help="bound on handle reductions")
     p.set_defaults(func=cmd_braid_reduce)
-    p = braid.add_parser("least", help="least positive element of a ball")
+    p = braid.add_parser("least", help="least positive element of the ordering")
     p.add_argument("--strands", type=_int_between(2, MAX_STRANDS), required=True)
-    p.add_argument("--radius", type=int, default=3)
     p.add_argument("--ordering", default="dehornoy")
     p.set_defaults(func=cmd_braid_least)
 
@@ -629,8 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = ext.add_parser("verify", help="cone axioms of the built ordering")
     p.add_argument("--radius", type=int, default=4)
     p.set_defaults(func=cmd_ext_verify)
-    p = ext.add_parser("least", help="least positive element of a ball")
-    p.add_argument("--radius", type=int, default=3)
+    p = ext.add_parser("least", help="least positive element of the ordering")
     p.set_defaults(func=cmd_ext_least)
 
     lospace = sub.add_parser("lospace", help="spaces of partial orderings").add_subparsers(

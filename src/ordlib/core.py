@@ -57,10 +57,6 @@ class IdentitySignError(ValueError):
     """Sign was queried at the identity; callers must filter it out."""
 
 
-class NoPositiveError(ValueError):
-    """A least-element search found no positive elements in the ball."""
-
-
 class RefusedConstructionError(ValueError):
     """A construction precondition failed; carries the witness."""
 
@@ -332,13 +328,18 @@ class SignOracle:
     oracles (``dehornoy``, ``flip-dehornoy``, every ``least[s_i]``) give one
     that acts on g's cached Dynnikov coordinates, and the G-ordering one
     that reads the exponents before any plane arithmetic; the others
-    multiply.
+    multiply.  ``least``, when given, is the least positive element as
+    the construction states it: the positive generator of the lowest
+    convex subgroup, when that subgroup is infinite cyclic.  The braid
+    oracles and the lexicographic extensions state one; None states
+    nothing.
     """
 
     group: Group
     fn: Callable
     descriptor: str
     left: Optional[Callable] = None
+    least: object = None
 
     def left_fn(self, g) -> Callable:
         """The function h -> fn(g*h)."""
@@ -453,19 +454,6 @@ def check_bi_invariance(oracle: SignOracle, group: Group, radius: int):
             if sign_g(group.multiply(p, ginv)) == NEGATIVE:
                 return (g, p)
     return None
-
-
-def least_positive_in_ball(oracle: SignOracle, group: Group, radius: int):
-    """The minimum, under the ordering, of the positive elements of the ball."""
-    best = None
-    for g in group.ball(radius)[1:]:
-        if oracle.sign(g) != POSITIVE:
-            continue
-        if best is None or compare(oracle, g, best) == LT:
-            best = g
-    if best is None:
-        raise NoPositiveError(f"no positive elements in ball({radius}) of {group.name}")
-    return best
 
 
 def distinguishing_witness(phi: GroupAutomorphism, catalog: list[SignOracle],

@@ -30,7 +30,6 @@ from .core import (
     GroupAutomorphism,
     RefusedConstructionError,
     SignOracle,
-    least_positive_in_ball,
 )
 from .lattice import FormFlag, TotalityError, vector_ray
 from .magnus import free_group
@@ -483,8 +482,10 @@ def lex_extension(pk: SignOracle, ext: ZExtensionGroup) -> SignOracle:
     Left-invariance needs conjugation by the Z letter to fix the base
     cone.  That is checked on ball(TWIST_CHECK_RADIUS) of the base, a
     bounded check, and the construction is refused, with the moved element
-    as witness, when it fails.  The Z letter comes out as the least
-    positive element.
+    as witness, when it fails.  The oracle states the Z letter as its
+    least positive element: once the twist keeps the base cone, <t> is
+    convex, since every element with a nontrivial base part lies above or
+    below all of it.
     """
     if ext.base != pk.group:
         raise ValueError("the ordering and the extension have different bases")
@@ -494,7 +495,7 @@ def lex_extension(pk: SignOracle, ext: ZExtensionGroup) -> SignOracle:
             f"conjugation by the Z letter moves {ext.base.label(witness)} "
             "across the cone", witness=witness)
     return SignOracle(group=ext, fn=functools.partial(lex_extension_sign, pk),
-                      descriptor=f"lex[{pk.descriptor}]")
+                      descriptor=f"lex[{pk.descriptor}]", least=(ext.base.identity, 1))
 
 
 def _g_left(u: FormFlag, g):
@@ -541,8 +542,3 @@ def klein_as_extension() -> ZExtensionGroup:
     base = free_group(1, ("y",))
     return ZExtensionGroup(base, lambda c, b: base.invert(b) if c % 2 else b,
                            "Klein-ext")
-
-
-def g_least_positive(radius: int = 3):
-    """The least positive element of the G-ordering in ball(radius)."""
-    return least_positive_in_ball(g_ordering(), g_group(), radius)

@@ -194,8 +194,11 @@ _CLAUSE_INDEX: weakref.WeakKeyDictionary[BallData, _ClauseIndex] = weakref.WeakK
 
 
 def _clause_index(group: Group, radius: int) -> _ClauseIndex:
+    cached = group._balls.copy()
     data = group.ball_data(radius)
     if len(data.elements) > MAX_CONE_BALL:
+        # a refused ball neither stays cached nor evicts one that was
+        group._balls = cached
         raise SizeLimitError(
             f"ball({radius}) of {group.name} has more than {MAX_CONE_BALL} "
             "elements, too many for a cone search")

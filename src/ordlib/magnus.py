@@ -167,6 +167,8 @@ def parse_word(group: FreeGroup, text: str) -> tuple:
     for token in text.replace("*", " ").split():
         if "^" in token:
             name, _, exp = token.partition("^")
+            if not _INT_TOKEN.fullmatch(exp):
+                raise ValueError(f"bad exponent in factor {token!r}")
             k = int(exp)
         elif token in by_name:
             name, k = token, 1

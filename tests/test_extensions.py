@@ -20,7 +20,6 @@ from ordlib.extensions import (
     KleinOrderingParams,
     conjugation_preserves,
     g_group,
-    g_least_positive,
     g_ordering,
     k_group,
     k_ordering,
@@ -198,7 +197,7 @@ def test_g_ordering_and_least_element():
     assert pg.descriptor == "lex[k-lex[flag[(-√2,1)]]]"
     assert verify_cone_axioms(pg, G, 3).passed
     t = (k_group().identity, 1)
-    assert g_least_positive(3) == t
+    assert pg.least == t
     assert G.label(t) == "(((0, 0), 0), 1)"
 
 

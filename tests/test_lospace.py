@@ -183,6 +183,25 @@ def test_a_first_cone_search_walks_its_ball_once(monkeypatch, make, radius, coun
     assert walks == [radius]
 
 
+@pytest.mark.parametrize("search", [
+    lambda group, cone: count_partial_cones(group, 2400),
+    lambda group, cone: enumerate_partial_cones(group, 2400),
+    lambda group, cone: extend_partial_cone(cone, group, 2400),
+], ids=["count", "enumerate", "extend"])
+def test_a_refused_cone_search_leaves_the_ball_cache_as_it_found_it(search):
+    """Z ball(2400) has 4,801 elements: under the ball cap, over the cone
+    cap.  The refusal neither keeps it nor evicts a cached ball, and the
+    cache keeps its order."""
+    group = LatticeGroup(1)
+    cone = enumerate_partial_cones(group, 1)[0]
+    for r in (2, 3, 5, 1):
+        group.ball_data(r)
+    before = list(group._balls.items())
+    with pytest.raises(SizeLimitError, match=r"^ball\(2400\) of Z\^1 has more than 1000"):
+        search(group, cone)
+    assert list(group._balls.items()) == before
+
+
 def _count_clause_builds(monkeypatch) -> list:
     """Patch _build_clauses to record the ball size of every build."""
     built = []

@@ -86,6 +86,13 @@ def test_parse_word_forms():
         parse_word(F2, "3 1")
 
 
+@pytest.mark.parametrize("factor", ["x^2^3", "x^", "y^x", "x^2_0", "x^1.5"])
+def test_parse_word_names_a_bad_exponent(factor):
+    with pytest.raises(ValueError) as info:
+        parse_word(F2, f"y {factor}")
+    assert str(info.value) == f"bad exponent in factor {factor!r}"
+
+
 def test_labels_and_ball():
     assert F2.label(()) == "1"
     assert F2.label((1, -2, -2)) == "x y^-2"
